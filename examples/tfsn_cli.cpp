@@ -23,8 +23,9 @@
 // representation/locality knobs only — teams and the --replay digest are
 // bit-identical across every combination. `team` additionally takes --seed-threads=N to run
 // each formation's seed loop on N workers over the task-local dense view
-// (results are identical for every setting) and --eval-path=auto|view|
-// oracle to pin the evaluation path.
+// (results are identical for every setting) and --eval-path=view|oracle
+// to pin the evaluation path (default: the view, falling back to the
+// oracle only where the view cannot be represented).
 //
 // Robustness knobs (see README "Robustness"): `serve --deadline-ms=B`
 // stamps every generated request with a B-millisecond SLO budget;
@@ -101,7 +102,7 @@ int Usage() {
                "        --compress=on|off compressed in-cache rows\n"
                "        --spill-dir=D spill evicted rows to disk under D\n"
                "        --seed-threads=N team seed-loop workers (0 = auto)\n"
-               "        --eval-path=auto|view|oracle team evaluation path\n");
+               "        --eval-path=view|oracle team evaluation path\n");
   return 1;
 }
 
@@ -229,12 +230,12 @@ int CmdTeam(const Flags& flags) {
   params.prefetch_threads = threads == 1 ? 0 : ResolveThreads(threads);
   params.seed_threads =
       static_cast<uint32_t>(flags.GetInt("seed_threads", 1));
-  std::string path = flags.GetString("eval_path", "auto");
+  std::string path = flags.GetString("eval_path", "view");
   if (path == "view") {
     params.eval_path = GreedyEvalPath::kView;
   } else if (path == "oracle") {
     params.eval_path = GreedyEvalPath::kOracle;
-  } else if (path != "auto") {
+  } else {
     std::fprintf(stderr, "unknown eval path '%s'\n", path.c_str());
     return 1;
   }

@@ -252,17 +252,8 @@ RowCache::StatsSnapshot RowCache::SnapshotCounters() const {
 }
 
 RowCacheStats RowCache::stats() const {
-  const StatsSnapshot counters = SnapshotCounters();
   RowCacheStats s;
-  s.hits = counters.hits;
-  s.misses = counters.misses;
-  s.evictions = counters.evictions;
-  s.insertions = counters.insertions;
-  s.decodes = counters.decodes;
-  s.decode_ns = counters.decode_ns;
-  s.spill_reads = counters.spill_reads;
-  s.spill_writes = counters.spill_writes;
-  s.compressed_bytes = counters.compressed_bytes;
+  static_cast<StatsSnapshot&>(s) = SnapshotCounters();
   for (uint32_t i = 0; i < num_shards_; ++i) {
     const Shard& shard = shards_[i];
     MutexLock lock(&shard.mu);

@@ -79,22 +79,7 @@ struct RowCacheOptions {
   std::shared_ptr<RowSpillStore> spill;
 };
 
-/// Point-in-time counters. hits/misses/evictions/insertions and the tier
-/// counters are monotonic; rows_in_use/bytes_in_use/compressed_bytes
-/// reflect current occupancy.
-struct RowCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  uint64_t insertions = 0;
-  uint64_t decodes = 0;
-  uint64_t decode_ns = 0;
-  uint64_t spill_reads = 0;
-  uint64_t spill_writes = 0;
-  size_t rows_in_use = 0;
-  size_t bytes_in_use = 0;
-  size_t compressed_bytes = 0;
-};
+struct RowCacheStats;
 
 class RowCache {
  public:
@@ -245,6 +230,14 @@ class RowCache {
   mutable std::atomic<uint64_t> spill_reads_{0};
   std::atomic<uint64_t> spill_writes_{0};
   std::atomic<uint64_t> compressed_bytes_{0};
+};
+
+/// Point-in-time counters: the StatsSnapshot counters plus the per-shard
+/// occupancy, rows_in_use/bytes_in_use (like compressed_bytes, gauges of
+/// current occupancy rather than monotonic counters).
+struct RowCacheStats : RowCache::StatsSnapshot {
+  size_t rows_in_use = 0;
+  size_t bytes_in_use = 0;
 };
 
 }  // namespace tfsn

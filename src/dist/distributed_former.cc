@@ -2,40 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <string>
 
 #include "src/team/cost.h"
 #include "src/util/logging.h"
 
 namespace tfsn {
-
-namespace {
-
-constexpr uint64_t kInfiniteCost = std::numeric_limits<uint64_t>::max();
-
-// Same mapping as the single-node former (greedy.cc): the kDiameter
-// objective derived from the already-computed pairwise sweep.
-uint64_t ObjectiveFromDiameter(uint32_t diameter) {
-  return diameter == kUnreachable ? kInfiniteCost : diameter;
-}
-
-CommStats Delta(const CommStats& after, const CommStats& before) {
-  CommStats d;
-  d.messages_sent = after.messages_sent - before.messages_sent;
-  d.bytes_sent = after.bytes_sent - before.bytes_sent;
-  d.messages_delivered = after.messages_delivered - before.messages_delivered;
-  d.bytes_delivered = after.bytes_delivered - before.bytes_delivered;
-  d.messages_dropped = after.messages_dropped - before.messages_dropped;
-  d.bytes_dropped = after.bytes_dropped - before.bytes_dropped;
-  d.control_messages = after.control_messages - before.control_messages;
-  d.control_bytes = after.control_bytes - before.control_bytes;
-  d.data_messages = after.data_messages - before.data_messages;
-  d.data_bytes = after.data_bytes - before.data_bytes;
-  return d;
-}
-
-}  // namespace
 
 DistributedFormer::DistributedFormer(const SignedGraph& graph,
                                      const SkillAssignment& skills,
@@ -375,7 +347,7 @@ Result<TeamResult> DistributedFormer::Form(const Task& task, Rng* rng,
   FormCommStats acc;
   const CommStats before = transport_->stats();
   const auto finish = [&] {
-    acc.comm = Delta(transport_->stats(), before);
+    acc.comm = transport_->stats() - before;
     if (comm != nullptr) *comm = acc;
   };
 
@@ -406,12 +378,8 @@ Result<TeamResult> DistributedFormer::Form(const Task& task, Rng* rng,
   }
 
   // Per-seed forked streams in seed order — the single-node consumption.
-  std::vector<Rng> seed_rngs;
-  if (params_.user_policy == UserPolicy::kRandom) {
-    TFSN_CHECK(rng != nullptr);
-    seed_rngs.reserve(seeds.size());
-    for (size_t i = 0; i < seeds.size(); ++i) seed_rngs.push_back(rng->Fork());
-  }
+  std::vector<Rng> seed_rngs =
+      ForkSeedRngs(params_.user_policy, seeds.size(), rng);
 
   std::vector<TeamResult> candidates;
   for (size_t i = 0; i < seeds.size(); ++i) {
@@ -428,21 +396,7 @@ Result<TeamResult> DistributedFormer::Form(const Task& task, Rng* rng,
   result.seeds_tried = static_cast<uint32_t>(seeds.size());
   result.seeds_succeeded = static_cast<uint32_t>(candidates.size());
 
-  // The single-node merge: strictly better objective, then smaller team.
-  const TeamResult* best = nullptr;
-  for (const TeamResult& c : candidates) {
-    if (best == nullptr || c.objective < best->objective ||
-        (c.objective == best->objective &&
-         c.members.size() < best->members.size())) {
-      best = &c;
-    }
-  }
-  if (best != nullptr) {
-    result.found = true;
-    result.members = best->members;
-    result.cost = best->cost;
-    result.objective = best->objective;
-  }
+  TakeBestCandidate(candidates, &result);  // the single-node merge
   finish();
   return result;
 }

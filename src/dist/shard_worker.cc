@@ -2,15 +2,80 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 #include <string>
 #include <utility>
 
-#include "src/team/greedy.h"
+#include "src/team/greedy_step.h"
 #include "src/team/task_view.h"
 #include "src/util/fault_injection.h"
 #include "src/util/logging.h"
 
 namespace tfsn {
+
+// This shard's universe slice as a row-access policy (greedy_step.h).
+// Candidate ids are indexes into the slice, which ascends with global id.
+// A team member is its row restricted to the slice — a kRowSlice from its
+// owner, or our own restriction — resolved once per step, so no lookup
+// here can fail.
+class ShardWorker::SliceRows {
+ public:
+  struct Member {
+    NodeId id;
+    const Slice* row;
+  };
+
+  explicit SliceRows(const ShardWorker& worker)
+      : w_(worker), mine_(worker.universe_by_shard_[worker.shard_]) {}
+
+  void Candidates(SkillId skill, std::span<const Member> team,
+                  std::vector<uint32_t>* out) const {
+    for (NodeId v : w_.skills_.Holders(skill)) {
+      if (w_.plan_.ShardOf(v) != w_.shard_) continue;
+      if (std::any_of(team.begin(), team.end(),
+                      [v](const Member& x) { return x.id == v; })) {
+        continue;
+      }
+      // An owned holder of a task skill is in the slice by construction.
+      const auto it = w_.local_index_.find(v);
+      TFSN_DCHECK(it != w_.local_index_.end());
+      const uint32_t i = it->second;
+      if (std::all_of(team.begin(), team.end(),
+                      [&](const Member& x) { return Compatible(x, i); })) {
+        out->push_back(i);
+      }
+    }
+  }
+
+  uint32_t Distance(const Member& x, uint32_t i) const {
+    const uint32_t d = x.row->dist[i];
+    return w_.sbph_ ? std::min(d, w_.oracle_->GetRow(mine_[i]).dist[x.id])
+                    : d;
+  }
+
+  void SetPool(std::span<const SkillId> rest, uint32_t cap) {
+    pool_ = FutureHolderPool(w_.skills_, rest, cap);
+  }
+
+  uint64_t PoolScore(uint32_t i) const {
+    const auto& row = w_.oracle_->GetRow(mine_[i]);
+    uint64_t score = 0;
+    for (NodeId w : pool_) score += row.comp[w] != 0;
+    return score;
+  }
+
+ private:
+  // SBPH pair semantics are the symmetric closure: either direction
+  // suffices, and the reverse one reads the candidate's own (owned) row.
+  bool Compatible(const Member& x, uint32_t i) const {
+    return TestBit(x.row->comp, i) ||
+           (w_.sbph_ && w_.oracle_->GetRow(mine_[i]).comp[x.id] != 0);
+  }
+
+  const ShardWorker& w_;
+  const std::vector<NodeId>& mine_;
+  std::vector<NodeId> pool_;
+};
 
 ShardWorker::ShardWorker(uint32_t shard, const SignedGraph& graph,
                          const SkillAssignment& skills, const ShardPlan& plan,
@@ -61,7 +126,6 @@ void ShardWorker::Dispatch(const Message& msg) {
 
 void ShardWorker::ResetSeedState() {
   team_.clear();
-  own_rows_.clear();
   slices_.clear();
   candidates_.clear();
   candidates_step_ = 0;
@@ -86,12 +150,15 @@ void ShardWorker::HandleFormBegin(const Message& msg) {
   seed_ = 0;
 
   // The coordinator sends task.skills() (sorted, deduplicated, validated);
-  // re-validate id bounds anyway — a worker never crashes on wire input.
-  std::vector<SkillId> task_skills;
+  // re-validate anyway — a worker never crashes on wire input.
+  task_skills_.clear();
   for (SkillId s : msg.task_skills) {
-    if (s < skills_.num_skills()) task_skills.push_back(s);
+    if (s < skills_.num_skills()) task_skills_.push_back(s);
   }
-  const std::vector<NodeId> universe = HolderUniverse(skills_, task_skills);
+  std::sort(task_skills_.begin(), task_skills_.end());
+  task_skills_.erase(std::unique(task_skills_.begin(), task_skills_.end()),
+                     task_skills_.end());
+  const std::vector<NodeId> universe = HolderUniverse(skills_, task_skills_);
   universe_by_shard_.assign(plan_.num_shards(), {});
   local_index_.clear();
   for (NodeId v : universe) {
@@ -119,30 +186,36 @@ Status ShardWorker::AbsorbNewMember(const Message& msg) {
   if (plan_.ShardOf(m) == shard_) {
     std::shared_ptr<const CompatibilityOracle::Row> row =
         oracle_->GetRowShared(m);
-    // Scatter the new member's row to every peer with universe nodes to
-    // evaluate, restricted to that peer's slice (ascending local order).
+    // Restrict the new member's row to every shard's universe slice
+    // (ascending local order): each peer with nodes to evaluate gets its
+    // restriction as a kRowSlice, and we keep our own.
     for (uint32_t t = 0; t < plan_.num_shards(); ++t) {
-      if (t == shard_) continue;
       const std::vector<NodeId>& nodes = universe_by_shard_[t];
       if (nodes.empty()) continue;
-      Message slice;
-      slice.type = MsgType::kRowSlice;
-      slice.run = msg.run;
-      slice.seed = msg.seed;
-      slice.step = msg.step;
-      slice.new_member = m;
-      slice.slice_comp.assign((nodes.size() + 63) / 64, 0);
-      slice.slice_dist.reserve(nodes.size());
+      Slice slice;
+      slice.comp.assign((nodes.size() + 63) / 64, 0);
+      slice.dist.reserve(nodes.size());
       for (size_t i = 0; i < nodes.size(); ++i) {
         const NodeId v = nodes[i];
-        if (row->comp[v] != 0) slice.slice_comp[i >> 6] |= 1ULL << (i & 63);
-        slice.slice_dist.push_back(row->dist[v]);
+        if (row->comp[v] != 0) slice.comp[i >> 6] |= 1ULL << (i & 63);
+        slice.dist.push_back(row->dist[v]);
       }
+      if (t == shard_) {
+        slices_[m] = std::move(slice);
+        continue;
+      }
+      Message out;
+      out.type = MsgType::kRowSlice;
+      out.run = msg.run;
+      out.seed = msg.seed;
+      out.step = msg.step;
+      out.new_member = m;
+      out.slice_comp = std::move(slice.comp);
+      out.slice_dist = std::move(slice.dist);
       // A dropped slice surfaces at the destination as a bounded-wait
       // timeout; the run degrades to a typed error there.
-      (void)transport_->Send(shard_, t, slice);
+      (void)transport_->Send(shard_, t, out);
     }
-    own_rows_[m] = std::move(row);
     return Status::OK();
   }
 
@@ -197,80 +270,22 @@ Status ShardWorker::AbsorbNewMember(const Message& msg) {
   return Status::OK();
 }
 
-Status ShardWorker::DirComp(NodeId x, NodeId v, bool* out) const {
-  const auto own = own_rows_.find(x);
-  if (own != own_rows_.end()) {
-    *out = own->second->comp[v] != 0;
-    return Status::OK();
-  }
-  const auto slice = slices_.find(x);
-  if (slice == slices_.end()) {
-    return Status::Internal("missing row state for team member " +
-                            std::to_string(x));
-  }
-  const auto li = local_index_.find(v);
-  if (li == local_index_.end()) {
-    return Status::Internal("candidate " + std::to_string(v) +
-                            " not in the local universe slice");
-  }
-  const uint32_t i = li->second;
-  *out = (slice->second.comp[i >> 6] >> (i & 63)) & 1;
-  return Status::OK();
-}
-
-Status ShardWorker::DirDist(NodeId x, NodeId v, uint32_t* out) const {
-  const auto own = own_rows_.find(x);
-  if (own != own_rows_.end()) {
-    *out = own->second->dist[v];
-    return Status::OK();
-  }
-  const auto slice = slices_.find(x);
-  if (slice == slices_.end()) {
-    return Status::Internal("missing row state for team member " +
-                            std::to_string(x));
-  }
-  const auto li = local_index_.find(v);
-  if (li == local_index_.end()) {
-    return Status::Internal("candidate " + std::to_string(v) +
-                            " not in the local universe slice");
-  }
-  *out = slice->second.dist[li->second];
-  return Status::OK();
-}
-
-Status ShardWorker::PairCompatible(NodeId x, NodeId v, bool* out) {
-  bool fwd = false;
-  TFSN_RETURN_NOT_OK(DirComp(x, v, &fwd));
-  if (!sbph_) {
-    *out = fwd;
-    return Status::OK();
-  }
-  // SBPH symmetric closure: either direction suffices. The reverse
-  // direction reads the candidate's own (owned) row.
-  *out = fwd || oracle_->GetRow(v).comp[x] != 0;
-  return Status::OK();
-}
-
-Status ShardWorker::PairDistance(NodeId x, NodeId v, uint32_t* out) {
-  uint32_t fwd = 0;
-  TFSN_RETURN_NOT_OK(DirDist(x, v, &fwd));
-  if (!sbph_) {
-    *out = fwd;
-    return Status::OK();
-  }
-  *out = std::min(fwd, oracle_->GetRow(v).dist[x]);
-  return Status::OK();
-}
-
 void ShardWorker::HandleEvalStep(const Message& msg) {
   if (!run_active_ || msg.run != run_) return;  // stale epoch: drop
   if (msg.step == 0 || msg.seed != seed_) {
     ResetSeedState();
     seed_ = msg.seed;
   }
-  if (msg.skill >= skills_.num_skills()) {
+  // Validate once per step; after this the selection cannot fail.
+  const auto is_task_skill = [&](SkillId s) {
+    return std::binary_search(task_skills_.begin(), task_skills_.end(), s);
+  };
+  if (!is_task_skill(msg.skill) ||
+      !std::all_of(msg.rest.begin(), msg.rest.end(), is_task_skill)) {
     ReplyError(msg, MsgType::kCandidateReply,
-               Status::Internal("skill id out of range"));
+               Status::InvalidArgument("step skill " +
+                                       std::to_string(msg.skill) +
+                                       " is not a skill of the run's task"));
     return;
   }
   Status st = AbsorbNewMember(msg);
@@ -280,104 +295,42 @@ void ShardWorker::HandleEvalStep(const Message& msg) {
     return;
   }
 
-  // Local candidates: holders of the requested skill that we own, not in
-  // the team, compatible with every current member. Holder lists are
-  // ascending, so the filtered list is ascending too — the per-shard
-  // fragment of the single-node path's global candidate order.
-  candidates_.clear();
-  candidates_step_ = msg.step;
-  for (NodeId v : skills_.Holders(msg.skill)) {
-    if (plan_.ShardOf(v) != shard_) continue;
-    if (std::find(team_.begin(), team_.end(), v) != team_.end()) continue;
-    bool ok = true;
+  // Local candidates — owned holders of the skill, not in the team,
+  // compatible with every member — are the per-shard fragment of the
+  // single-node candidate order, and the local best merged with its peers
+  // reproduces the global pick. RANDOM replies the count only: the
+  // coordinator draws the rank.
+  const std::vector<NodeId>& mine = universe_by_shard_[shard_];
+  std::vector<uint32_t> local;
+  UserPick best;
+  if (!mine.empty()) {
+    std::vector<SliceRows::Member> team;
+    team.reserve(team_.size());
     for (NodeId x : team_) {
-      bool comp = false;
-      st = PairCompatible(x, v, &comp);
-      if (!st.ok()) {
-        ReplyError(msg, MsgType::kCandidateReply, st);
+      const auto it = slices_.find(x);
+      if (it == slices_.end()) {
+        ReplyError(msg, MsgType::kCandidateReply,
+                   Status::Internal("missing row state for team member " +
+                                    std::to_string(x)));
         return;
       }
-      if (!comp) {
-        ok = false;
-        break;
-      }
+      team.push_back({x, &it->second});
     }
-    if (ok) candidates_.push_back(v);
+    SliceRows rows(*this);
+    rows.Candidates(msg.skill, team, &local);
+    best = BestCandidate(rows, user_policy_, team, local, msg.rest,
+                         pool_cap_);
   }
+  candidates_.clear();
+  for (uint32_t i : local) candidates_.push_back(mine[i]);
+  candidates_step_ = msg.step;
 
   Message reply;
   reply.count = candidates_.size();
-  switch (user_policy_) {
-    case UserPolicy::kMinDistance: {
-      // First strict minimum in ascending candidate order, with the
-      // single-node path's candidate-level early break (a pure pruning:
-      // the selected best always ran to completion, so its score is the
-      // exact worst-case distance). The local (score, id)-minimum merged
-      // with its peers reproduces the global first-strict-minimum.
-      NodeId best = kInvalidNode;
-      uint64_t best_score = ~0ULL;
-      for (NodeId v : candidates_) {
-        uint32_t worst = 0;
-        bool aborted = false;
-        for (NodeId x : team_) {
-          uint32_t d = 0;
-          st = PairDistance(x, v, &d);
-          if (!st.ok()) {
-            ReplyError(msg, MsgType::kCandidateReply, st);
-            return;
-          }
-          worst = std::max(worst, d);
-          if (worst >= best_score) {
-            aborted = true;
-            break;
-          }
-        }
-        if (!aborted && worst < best_score) {
-          best_score = worst;
-          best = v;
-        }
-      }
-      if (best != kInvalidNode) {
-        reply.has_best = 1;
-        reply.best_id = best;
-        reply.best_score = best_score;
-      }
-      break;
-    }
-    case UserPolicy::kMostCompatible: {
-      // The future-holder pool is a *global* construction — identical on
-      // every shard and to the single-node path: concatenated holder
-      // lists, sorted, deduplicated, evenly thinned.
-      std::vector<NodeId> pool;
-      for (SkillId s : msg.rest) {
-        if (s >= skills_.num_skills()) continue;
-        auto hs = skills_.Holders(s);
-        pool.insert(pool.end(), hs.begin(), hs.end());
-      }
-      std::sort(pool.begin(), pool.end());
-      pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
-      ThinPoolEvenly(&pool, pool_cap_);
-      NodeId best = kInvalidNode;
-      int64_t best_score = -1;
-      for (NodeId v : candidates_) {
-        const auto& row = oracle_->GetRow(v);
-        int64_t score = 0;
-        for (NodeId w : pool) score += row.comp[w] != 0;
-        if (score > best_score) {
-          best_score = score;
-          best = v;
-        }
-      }
-      if (best != kInvalidNode) {
-        reply.has_best = 1;
-        reply.best_id = best;
-        reply.best_score = static_cast<uint64_t>(best_score);
-      }
-      break;
-    }
-    case UserPolicy::kRandom:
-      // The coordinator draws the rank; we only report the local count.
-      break;
+  if (best.id != kInvalidNode) {
+    reply.has_best = 1;
+    reply.best_id = mine[best.id];
+    reply.best_score = best.score;
   }
   Reply(msg, MsgType::kCandidateReply, std::move(reply));
 }

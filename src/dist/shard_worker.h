@@ -63,8 +63,8 @@ class ShardWorker {
   void Run();
 
  private:
-  /// A remote team member's row restricted to this shard's universe slice
-  /// (comp bits packed 64 per word, distances parallel to the slice).
+  /// A team member's row restricted to this shard's universe slice (comp
+  /// bits packed 64 per word, distances parallel to the slice).
   struct Slice {
     std::vector<uint64_t> comp;
     std::vector<uint32_t> dist;
@@ -77,24 +77,17 @@ class ShardWorker {
   void HandlePickRank(const Message& msg);
   void HandleCostEval(const Message& msg);
 
-  /// Makes `member`'s row state available for candidate evaluation: owned
-  /// members are fetched from the oracle and their slices scattered to the
-  /// peer shards; remote members are awaited as kRowSlice messages (with a
-  /// bounded wait). DeadlineExceeded / Unavailable when the slice never
-  /// arrives.
+  /// Makes `member`'s row slice available for candidate evaluation: owned
+  /// members are fetched from the oracle, restricted to every shard's
+  /// slice, and scattered to the peer shards; remote members are awaited
+  /// as kRowSlice messages (with a bounded wait). DeadlineExceeded /
+  /// Unavailable when the slice never arrives.
   Status AbsorbNewMember(const Message& msg);
 
-  /// Directed row lookups row(x) -> v for team member x (owned row or
-  /// received slice) against owned candidate v. Internal error when the
-  /// member's row state is missing (a dropped message upstream).
-  Status DirComp(NodeId x, NodeId v, bool* out) const;
-  Status DirDist(NodeId x, NodeId v, uint32_t* out) const;
-
-  /// Pair semantics matching CompatibilityOracle::Compatible/Distance for
-  /// (team member x, owned candidate v) — including the SBPH symmetric
-  /// closure, whose reverse direction reads the candidate's own row.
-  Status PairCompatible(NodeId x, NodeId v, bool* out);
-  Status PairDistance(NodeId x, NodeId v, uint32_t* out);
+  /// The universe slice as greedy_step.h's row-access policy; pair
+  /// semantics match CompatibilityOracle::Compatible/Distance, including
+  /// the SBPH symmetric closure.
+  class SliceRows;
 
   void Reply(const Message& req, MsgType type, Message msg);
   void ReplyError(const Message& req, MsgType type, const Status& st);
@@ -120,6 +113,9 @@ class ShardWorker {
   uint32_t run_ = 0;
   UserPolicy user_policy_ = UserPolicy::kMinDistance;
   uint32_t pool_cap_ = 0;
+  /// The run's task skills (sorted); a step naming any other skill is
+  /// answered with a typed error.
+  std::vector<SkillId> task_skills_;
   /// The task's holder universe partitioned by owning shard (ascending
   /// within each shard); universe_by_shard_[shard_] is *our* slice — the
   /// only nodes we can ever evaluate as candidates.
@@ -131,7 +127,8 @@ class ShardWorker {
   // ---- Seed state (reset at step 0 of each seed) -------------------------
   uint32_t seed_ = 0;
   std::vector<NodeId> team_;
-  std::map<NodeId, std::shared_ptr<const CompatibilityOracle::Row>> own_rows_;
+  /// Every team member's row restricted to our universe slice (kept only
+  /// while the slice is non-empty).
   std::map<NodeId, Slice> slices_;
   /// Early-arrival slices from the current or a future epoch, waiting for
   /// this worker to catch up; pruned of stale epochs on adoption.

@@ -43,6 +43,23 @@ struct CommStats {
   uint64_t control_bytes = 0;
   uint64_t data_messages = 0;       ///< sent, worker <-> worker
   uint64_t data_bytes = 0;
+
+  /// Traffic deltas `this - earlier` (every field is monotonic, so the
+  /// result is well-defined when `earlier` was taken first).
+  CommStats operator-(const CommStats& earlier) const {
+    CommStats d;
+    d.messages_sent = messages_sent - earlier.messages_sent;
+    d.bytes_sent = bytes_sent - earlier.bytes_sent;
+    d.messages_delivered = messages_delivered - earlier.messages_delivered;
+    d.bytes_delivered = bytes_delivered - earlier.bytes_delivered;
+    d.messages_dropped = messages_dropped - earlier.messages_dropped;
+    d.bytes_dropped = bytes_dropped - earlier.bytes_dropped;
+    d.control_messages = control_messages - earlier.control_messages;
+    d.control_bytes = control_bytes - earlier.control_bytes;
+    d.data_messages = data_messages - earlier.data_messages;
+    d.data_bytes = data_bytes - earlier.data_bytes;
+    return d;
+  }
 };
 
 /// Point-to-point messaging between the S + 1 formation endpoints.

@@ -113,7 +113,8 @@ struct TeamExperimentOptions {
   /// (GreedyParams::seed_threads; 1 = serial, 0 = auto). Results are
   /// bit-identical for every setting.
   uint32_t seed_threads = 1;
-  /// Evaluation path for the formers (kAuto = dense view when it fits).
+  /// Evaluation path for the formers (kAuto = kView: the dense view,
+  /// unless it cannot be represented).
   GreedyEvalPath eval_path = GreedyEvalPath::kAuto;
   /// Byte budget of the shared row cache.
   size_t cache_bytes = 256ull << 20;

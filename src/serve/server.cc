@@ -149,77 +149,61 @@ void TeamFormationServer::Shutdown() {
   });
 }
 
+bool TeamFormationServer::Funds(const ScheduledRequest& sr,
+                                std::chrono::steady_clock::time_point now,
+                                uint64_t estimate_us) const {
+  if (sr.deadline <= now) return false;
+  return MicrosBetween(now, sr.deadline) >=
+         estimate_us + options_.deadline.slack_us;
+}
+
+void TeamFormationServer::Shed(Worker* worker, ScheduledRequest* sr,
+                               const char* why) {
+  {
+    MutexLock lock(&worker->mu);
+    ++worker->shed;
+  }
+  FulfillError(sr, Status::DeadlineExceeded(why));
+}
+
 void TeamFormationServer::ServeDegraded(Worker* worker, ScheduledRequest* sr,
                                         uint32_t batch_size) {
   const auto service_start = std::chrono::steady_clock::now();
-  // Even the cheapest tier costs something. Triage only checked that the
-  // deadline had not yet passed; if the remaining budget cannot fund a
-  // typical degraded serve either, answering would just be late — shed
-  // with the typed response instead so the accepted tail stays inside
-  // the SLO.
-  if (service_start >= sr->deadline ||
-      MicrosBetween(service_start, sr->deadline) <
-          DegradedEstimateUs() + options_.deadline.slack_us) {
-    {
-      MutexLock lock(&worker->mu);
-      ++worker->shed;
-    }
-    FulfillError(
-        sr, Status::DeadlineExceeded("deadline cannot be met by any tier"));
+  // Even the cache-only tier costs something. If the remaining budget
+  // cannot fund a typical degraded serve, answering would just be late —
+  // shed with the typed response instead so the accepted tail stays
+  // inside the SLO.
+  bool complete = false;
+  std::unique_ptr<TaskCompatView> view;
+  if (Funds(*sr, service_start, DegradedEstimateUs())) {
+    view = TaskCompatView::BuildFromCachedRows(
+        worker->oracle.get(), skills_, sr->request.task,
+        HolderUniverse(skills_, sr->request.task.skills()),
+        options_.batch.max_view_bytes, &complete);
+  }
+  TeamResult result;
+  if (view != nullptr) {
+    Rng rng(sr->request.rng_seed);
+    result = worker->former->FormWithView(*view, sr->request.task, &rng);
+  }
+  // A complete cache-only view is bit-identical to the full build, so even
+  // a "no team exists" verdict is the exact answer. An incomplete view
+  // only counts when it actually found a team — a miss may just mean the
+  // missing rows held the answer.
+  if (view == nullptr || !(complete || result.found)) {
+    Shed(worker, sr, "deadline cannot be met by any tier");
     return;
   }
   TeamResponse resp;
   resp.id = sr->request.id;
   resp.batch_size = batch_size;
-  resp.used_shared_view = false;
-  bool served = false;
-  bool complete = false;
-  auto view = TaskCompatView::BuildFromCachedRows(
-      worker->oracle.get(), skills_, sr->request.task,
-      HolderUniverse(skills_, sr->request.task.skills()),
-      options_.batch.max_view_bytes, &complete);
-  if (view != nullptr) {
-    Rng rng(sr->request.rng_seed);
-    TeamResult result =
-        worker->former->FormWithView(*view, sr->request.task, &rng);
-    // A complete cache-only view is bit-identical to the full build, so
-    // even a "no team exists" verdict is the exact answer. An incomplete
-    // view only counts when it actually found a team — a miss may just
-    // mean the missing rows held the answer.
-    if (complete || result.found) {
-      resp.result = std::move(result);
-      resp.degraded = !complete;
-      served = true;
-    }
-  }
-  if (!served) {
-    // Cache-only could not answer. Fund the exact oracle path if the
-    // remaining budget still covers a standalone formation; otherwise no
-    // tier can meet the deadline.
-    const auto now = std::chrono::steady_clock::now();
-    if (sr->deadline > now &&
-        MicrosBetween(now, sr->deadline) >=
-            ServiceEstimateUs() + options_.deadline.slack_us) {
-      Rng rng(sr->request.rng_seed);
-      resp.result = worker->former->Form(sr->request.task, &rng);
-      resp.degraded = false;
-      served = true;
-    }
-  }
-  if (!served) {
-    {
-      MutexLock lock(&worker->mu);
-      ++worker->shed;
-    }
-    FulfillError(
-        sr, Status::DeadlineExceeded("deadline cannot be met by any tier"));
-    return;
-  }
+  resp.result = std::move(result);
+  resp.degraded = !complete;
   const auto done = std::chrono::steady_clock::now();
   resp.queue_us = MicrosBetween(sr->admitted, service_start);
   resp.service_us = MicrosBetween(service_start, done);
   resp.total_us = MicrosBetween(sr->admitted, done);
-  // Realized ladder cost (whichever tier answered) feeds the gate above.
+  // The realized cache-only cost feeds the gate above.
   UpdateEwma(&degraded_ewma_us_, resp.service_us);
   FinishServed(worker, sr, std::move(resp));
 }
@@ -257,9 +241,7 @@ void TeamFormationServer::WorkerLoop(Worker* worker) {
     full.reserve(batch.items.size());
     const bool enforce = options_.deadline.shed >= ShedMode::kQueue;
     const uint64_t est_full =
-        enforce ? BuildEstimateUs() + ServiceEstimateUs() +
-                      options_.deadline.slack_us
-                : 0;
+        enforce ? BuildEstimateUs() + ServiceEstimateUs() : 0;
     for (ScheduledRequest& sr : batch.items) {
       if (!enforce ||
           sr.deadline == std::chrono::steady_clock::time_point::max()) {
@@ -268,16 +250,10 @@ void TeamFormationServer::WorkerLoop(Worker* worker) {
       }
       const auto now = std::chrono::steady_clock::now();
       if (sr.deadline <= now) {
-        {
-          MutexLock lock(&worker->mu);
-          ++worker->shed;
-        }
-        FulfillError(&sr, Status::DeadlineExceeded(
-                              "deadline expired before service"));
+        Shed(worker, &sr, "deadline expired before service");
         continue;
       }
-      if (options_.deadline.degrade &&
-          MicrosBetween(now, sr.deadline) < est_full) {
+      if (options_.deadline.degrade && !Funds(sr, now, est_full)) {
         ServeDegraded(worker, &sr, batch_size);
         continue;
       }
@@ -317,17 +293,11 @@ void TeamFormationServer::WorkerLoop(Worker* worker) {
       if (enforce &&
           sr->deadline != std::chrono::steady_clock::time_point::max()) {
         if (sr->deadline <= service_start) {
-          {
-            MutexLock lock(&worker->mu);
-            ++worker->shed;
-          }
-          FulfillError(sr, Status::DeadlineExceeded(
-                               "deadline expired during the view build"));
+          Shed(worker, sr, "deadline expired during the view build");
           continue;
         }
         if (options_.deadline.degrade &&
-            MicrosBetween(service_start, sr->deadline) <
-                ServiceEstimateUs() + options_.deadline.slack_us) {
+            !Funds(*sr, service_start, ServiceEstimateUs())) {
           ServeDegraded(worker, sr, batch_size);
           continue;
         }

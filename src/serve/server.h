@@ -33,9 +33,9 @@
 // by service time). A member whose remaining budget cannot fund the full
 // view build degrades instead of missing its deadline:
 //
-//   full dense view  →  cache-only view  →  oracle path  →  reject
-//        (exact)       (degraded unless      (exact)      (DeadlineExceeded)
-//                       every row cached)
+//   shared dense view  →  cache-only view  →  reject
+//        (exact)        (degraded unless    (DeadlineExceeded)
+//                        every row cached)
 //
 // Degraded responses carry TeamResponse::degraded = true and are the only
 // ones that may differ from the exact answer; they are sound (every
@@ -195,10 +195,19 @@ class TeamFormationServer {
   };
 
   void WorkerLoop(Worker* worker);
-  /// Serves one deadline-pressed request through the degradation ladder
-  /// (cache-only view → oracle path → DeadlineExceeded).
+  /// Serves one deadline-pressed request through the degradation ladder's
+  /// lower tiers (cache-only view → DeadlineExceeded).
   void ServeDegraded(Worker* worker, ScheduledRequest* sr,
                      uint32_t batch_size);
+  /// The one deadline gate of the worker: true when `sr`'s deadline has
+  /// not passed at `now` and the remaining budget covers `estimate_us`
+  /// plus DeadlinePolicy::slack_us.
+  bool Funds(const ScheduledRequest& sr,
+             std::chrono::steady_clock::time_point now,
+             uint64_t estimate_us) const;
+  /// Counts a shed in the worker's metrics and fulfills `sr` with
+  /// DeadlineExceeded(`why`).
+  void Shed(Worker* worker, ScheduledRequest* sr, const char* why);
   /// Records a served response into the worker's metrics and the shared
   /// queue-latency histogram, then fulfills the promise.
   void FinishServed(Worker* worker, ScheduledRequest* sr, TeamResponse resp);

@@ -2,29 +2,15 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 #include <span>
 
 #include "src/graph/bfs.h"
 #include "src/team/cost.h"
+#include "src/team/greedy_step.h"
 #include "src/util/logging.h"
 #include "src/util/parallel.h"
 
 namespace tfsn {
-
-namespace {
-
-constexpr uint64_t kInfiniteCost = std::numeric_limits<uint64_t>::max();
-
-// Maps a team diameter to the kDiameter objective exactly as TeamCost
-// does, so candidate evaluation computes the pairwise sweep once and
-// derives the objective from it (instead of recomputing the full diameter
-// a second time through TeamCost).
-uint64_t ObjectiveFromDiameter(uint32_t diameter) {
-  return diameter == kUnreachable ? kInfiniteCost : diameter;
-}
-
-}  // namespace
 
 const char* SkillPolicyName(SkillPolicy p) {
   switch (p) {
@@ -80,17 +66,187 @@ std::vector<NodeId> GreedySeedSet(const SkillAssignment& skills,
   return seeds;
 }
 
-void ThinPoolEvenly(std::vector<NodeId>* pool, uint32_t cap) {
-  if (cap == 0 || pool->size() <= cap) return;
+std::vector<NodeId> FutureHolderPool(const SkillAssignment& skills,
+                                     std::span<const SkillId> rest,
+                                     uint32_t cap) {
+  std::vector<NodeId> pool;
+  for (SkillId s : rest) {
+    auto hs = skills.Holders(s);
+    pool.insert(pool.end(), hs.begin(), hs.end());
+  }
+  std::sort(pool.begin(), pool.end());
+  pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
+  if (cap == 0 || pool.size() <= cap) return pool;
   // Deterministic thinning: keep an evenly spaced subset.
   std::vector<NodeId> thin;
   thin.reserve(cap);
-  double step = static_cast<double>(pool->size()) / cap;
+  const double step = static_cast<double>(pool.size()) / cap;
   for (uint32_t i = 0; i < cap; ++i) {
-    thin.push_back((*pool)[static_cast<size_t>(i * step)]);
+    thin.push_back(pool[static_cast<size_t>(i * step)]);
   }
-  pool->swap(thin);
+  return thin;
 }
+
+std::vector<Rng> ForkSeedRngs(UserPolicy policy, size_t num_seeds, Rng* rng) {
+  std::vector<Rng> streams;
+  if (policy != UserPolicy::kRandom) return streams;
+  TFSN_CHECK(rng != nullptr);
+  streams.reserve(num_seeds);
+  for (size_t i = 0; i < num_seeds; ++i) streams.push_back(rng->Fork());
+  return streams;
+}
+
+void TakeBestCandidate(std::span<const TeamResult> candidates,
+                       TeamResult* result) {
+  const TeamResult* best = nullptr;
+  for (const TeamResult& c : candidates) {
+    if (best == nullptr || c.objective < best->objective ||
+        (c.objective == best->objective &&
+         c.members.size() < best->members.size())) {
+      best = &c;
+    }
+  }
+  if (best == nullptr) return;
+  result->found = true;
+  result->members = best->members;
+  result->cost = best->cost;
+  result->objective = best->objective;
+}
+
+namespace {
+
+// The dense task view as a row-access policy (greedy_step.h). Candidate
+// filtering is an AND-fold of 64-bit pair-row words, kMinDistance reads
+// packed uint16 distances, and kMostCompatible's pool is an OR of holder
+// masks thinned by rank-select and scored by popcount. Local ids ascend
+// with global ids, so every scan visits candidates in the oracle path's
+// order. One instance per seed worker: the buffers are scratch.
+class ViewRows {
+ public:
+  using Member = uint32_t;
+
+  explicit ViewRows(const TaskCompatView& view)
+      : view_(view), sbph_(view.kind() == CompatKind::kSBPH) {}
+
+  NodeId Global(uint32_t v) const { return view_.GlobalOf(v); }
+
+  void Candidates(SkillId skill, std::span<const uint32_t> team,
+                  std::vector<uint32_t>* out) {
+    const size_t words = view_.words();
+    auto holders = view_.HolderMask(view_.TaskSkillPos(skill));
+    cand_mask_.assign(holders.begin(), holders.end());
+    for (uint32_t x : team) {
+      auto row = view_.PairRow(x);
+      for (size_t w = 0; w < words; ++w) cand_mask_[w] &= row[w];
+    }
+    for (uint32_t x : team) {
+      cand_mask_[x >> 6] &= ~(uint64_t{1} << (x & 63));
+    }
+    AppendSetBits(cand_mask_, out);
+  }
+
+  uint32_t Distance(uint32_t x, uint32_t v) const {
+    const uint16_t packed =
+        sbph_ ? std::min(view_.DistRow(x)[v], view_.DistRow(v)[x])
+              : view_.DistRow(x)[v];
+    return TaskCompatView::Widen(packed);
+  }
+
+  void SetPool(std::span<const SkillId> rest, uint32_t cap) {
+    const size_t words = view_.words();
+    pool_mask_.assign(words, 0);
+    for (SkillId t : rest) {
+      auto mask = view_.HolderMask(view_.TaskSkillPos(t));
+      for (size_t w = 0; w < words; ++w) pool_mask_[w] |= mask[w];
+    }
+    const uint64_t pool_size = CountSetBits(pool_mask_);
+    if (cap == 0 || pool_size <= cap) return;
+    // Evenly spaced thinning by rank-select on the mask: the selected
+    // ranks floor(i * step) are exactly the elements FutureHolderPool
+    // picks from its sorted vector, without materializing it.
+    const double step = static_cast<double>(pool_size) / cap;
+    pool_.clear();
+    uint32_t i = 0;
+    uint64_t rank = 0;  // set bits before the current word
+    for (size_t w = 0; w < words && i < cap; ++w) {
+      uint64_t bits = pool_mask_[w];
+      const uint64_t count = static_cast<uint64_t>(std::popcount(bits));
+      uint64_t consumed = 0;  // bits cleared from this word so far
+      while (i < cap) {
+        const uint64_t target =
+            static_cast<uint64_t>(static_cast<uint32_t>(i) * step);
+        if (target >= rank + count) break;
+        // Drop set bits below the target rank, then take the lowest.
+        for (; rank + consumed < target; ++consumed) bits &= bits - 1;
+        pool_.push_back(static_cast<uint32_t>(w * 64 + std::countr_zero(bits)));
+        ++i;
+      }
+      rank += count;
+    }
+    std::fill(pool_mask_.begin(), pool_mask_.end(), 0);
+    for (uint32_t v : pool_) pool_mask_[v >> 6] |= uint64_t{1} << (v & 63);
+  }
+
+  uint64_t PoolScore(uint32_t v) const {
+    auto row = view_.DirRow(v);
+    uint64_t score = 0;
+    for (size_t w = 0; w < row.size(); ++w) {
+      score += static_cast<uint64_t>(std::popcount(row[w] & pool_mask_[w]));
+    }
+    return score;
+  }
+
+ private:
+  const TaskCompatView& view_;
+  const bool sbph_;
+  std::vector<uint64_t> cand_mask_;
+  std::vector<uint64_t> pool_mask_;
+  std::vector<uint32_t> pool_;
+};
+
+// The oracle as a row-access policy: the reference path, and the only one
+// for graphs too large for the view. Ids are global node ids; every pair
+// question is one oracle lookup.
+class OracleRows {
+ public:
+  using Member = uint32_t;
+
+  OracleRows(CompatibilityOracle* oracle, const SkillAssignment& skills)
+      : oracle_(oracle), skills_(skills) {}
+
+  NodeId Global(NodeId v) const { return v; }
+
+  void Candidates(SkillId skill, std::span<const NodeId> team,
+                  std::vector<uint32_t>* out) {
+    for (NodeId v : skills_.Holders(skill)) {
+      if (std::find(team.begin(), team.end(), v) != team.end()) continue;
+      if (std::all_of(team.begin(), team.end(),
+                      [&](NodeId x) { return oracle_->Compatible(x, v); })) {
+        out->push_back(v);
+      }
+    }
+  }
+
+  uint32_t Distance(NodeId x, NodeId v) { return oracle_->Distance(x, v); }
+
+  void SetPool(std::span<const SkillId> rest, uint32_t cap) {
+    pool_ = FutureHolderPool(skills_, rest, cap);
+  }
+
+  uint64_t PoolScore(NodeId v) {
+    const auto& row = oracle_->GetRow(v);
+    uint64_t score = 0;
+    for (NodeId w : pool_) score += row.comp[w] != 0;
+    return score;
+  }
+
+ private:
+  CompatibilityOracle* oracle_;
+  const SkillAssignment& skills_;
+  std::vector<NodeId> pool_;
+};
+
+}  // namespace
 
 GreedyTeamFormer::GreedyTeamFormer(CompatibilityOracle* oracle,
                                    const SkillAssignment& skills,
@@ -103,279 +259,6 @@ GreedyTeamFormer::GreedyTeamFormer(CompatibilityOracle* oracle,
   }
 }
 
-SkillId GreedyTeamFormer::SelectSkill(
-    const std::vector<SkillId>& uncovered) const {
-  return SelectSkillByPolicy(params_.skill_policy, skills_, index_, uncovered);
-}
-
-NodeId GreedyTeamFormer::SelectUser(SkillId skill,
-                                    const std::vector<NodeId>& team,
-                                    const std::vector<SkillId>& uncovered_after,
-                                    Rng* rng) {
-  auto holders = skills_.Holders(skill);
-  // Collect holders compatible with the whole current team. Compatibility
-  // tests stream the cached rows of the (few) team members, so this is
-  // O(|team| * |holders|) row lookups.
-  std::vector<NodeId> candidates;
-  for (NodeId v : holders) {
-    bool in_team = std::find(team.begin(), team.end(), v) != team.end();
-    if (in_team) continue;
-    bool ok = true;
-    for (NodeId x : team) {
-      if (!oracle_->Compatible(x, v)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) candidates.push_back(v);
-  }
-  if (candidates.empty()) return kInvalidNode;
-
-  switch (params_.user_policy) {
-    case UserPolicy::kMinDistance: {
-      NodeId best = kInvalidNode;
-      uint64_t best_score = ~0ULL;
-      for (NodeId v : candidates) {
-        uint32_t worst = 0;
-        for (NodeId x : team) {
-          uint32_t d = oracle_->Distance(x, v);
-          worst = std::max(worst, d);
-          if (worst >= best_score) break;
-        }
-        if (worst < best_score) {
-          best_score = worst;
-          best = v;
-        }
-      }
-      return best;
-    }
-    case UserPolicy::kMostCompatible: {
-      // Score each candidate by how many holders of the still-uncovered
-      // skills it is compatible with (greedy for keeping the search alive).
-      std::vector<NodeId> pool;
-      for (SkillId s : uncovered_after) {
-        auto hs = skills_.Holders(s);
-        pool.insert(pool.end(), hs.begin(), hs.end());
-      }
-      std::sort(pool.begin(), pool.end());
-      pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
-      ThinPoolEvenly(&pool, params_.most_compatible_pool_cap);
-      NodeId best = kInvalidNode;
-      int64_t best_score = -1;
-      for (NodeId v : candidates) {
-        const auto& row = oracle_->GetRow(v);
-        int64_t score = 0;
-        for (NodeId w : pool) score += row.comp[w] != 0;
-        if (score > best_score) {
-          best_score = score;
-          best = v;
-        }
-      }
-      return best;
-    }
-    case UserPolicy::kRandom: {
-      TFSN_CHECK(rng != nullptr);
-      return candidates[rng->NextBounded(candidates.size())];
-    }
-  }
-  return kInvalidNode;
-}
-
-uint32_t GreedyTeamFormer::SelectUserView(
-    const TaskCompatView& view, SkillId skill,
-    const std::vector<uint32_t>& team,
-    const std::vector<SkillId>& uncovered_after, Rng* rng,
-    ViewScratch* scratch) const {
-  const size_t words = view.words();
-  // "Compatible with the whole team" is an AND-fold of 64-bit words: the
-  // holder mask of `skill` intersected with every team member's pair row,
-  // minus the team itself. Bit order is global-id order, so the candidate
-  // list matches the oracle path's holder scan exactly.
-  auto holder_mask = view.HolderMask(view.TaskSkillPos(skill));
-  scratch->cand_mask.assign(holder_mask.begin(), holder_mask.end());
-  for (uint32_t x : team) {
-    auto row = view.PairRow(x);
-    for (size_t w = 0; w < words; ++w) scratch->cand_mask[w] &= row[w];
-  }
-  for (uint32_t x : team) {
-    scratch->cand_mask[x >> 6] &= ~(uint64_t{1} << (x & 63));
-  }
-  scratch->candidates.clear();
-  AppendSetBits(scratch->cand_mask, &scratch->candidates);
-  if (scratch->candidates.empty()) return kNoLocalId;
-  const auto& candidates = scratch->candidates;
-
-  switch (params_.user_policy) {
-    case UserPolicy::kMinDistance: {
-      // Dense uint16 loads with the oracle loop's candidate-level early
-      // break (a pure pruning: the partial max only ever loses a failing
-      // comparison). First-strict-minimum in ascending candidate order —
-      // the same winner as the oracle path.
-      const bool sbph = view.kind() == CompatKind::kSBPH;
-      uint32_t best = kNoLocalId;
-      uint64_t best_score = ~0ULL;
-      for (uint32_t v : candidates) {
-        uint32_t worst = 0;
-        for (uint32_t x : team) {
-          const uint16_t packed =
-              sbph ? std::min(view.DistRow(x)[v], view.DistRow(v)[x])
-                   : view.DistRow(x)[v];
-          worst = std::max(worst, TaskCompatView::Widen(packed));
-          if (worst >= best_score) break;
-        }
-        if (worst < best_score) {
-          best_score = worst;
-          best = v;
-        }
-      }
-      return best;
-    }
-    case UserPolicy::kMostCompatible: {
-      // The future-holder pool is an OR of precomputed per-skill holder
-      // masks — no per-step concatenation, sort, or dedup (the view owns
-      // the holder universe). Thinning replicates the oracle path's
-      // arithmetic; local-id order equals global-id order, so the thinned
-      // subset is identical.
-      scratch->pool_mask.assign(words, 0);
-      for (SkillId t : uncovered_after) {
-        auto mask = view.HolderMask(view.TaskSkillPos(t));
-        for (size_t w = 0; w < words; ++w) scratch->pool_mask[w] |= mask[w];
-      }
-      const uint64_t pool_size = CountSetBits(scratch->pool_mask);
-      if (params_.most_compatible_pool_cap > 0 &&
-          pool_size > params_.most_compatible_pool_cap) {
-        // Evenly spaced thinning by rank-select on the mask: the selected
-        // ranks floor(i * step) are exactly the elements the oracle path
-        // picks from its sorted pool vector, without materializing it.
-        const uint32_t cap = params_.most_compatible_pool_cap;
-        const double step = static_cast<double>(pool_size) / cap;
-        scratch->pool.clear();
-        uint32_t i = 0;
-        uint64_t rank = 0;  // set bits before the current word
-        for (size_t w = 0; w < words && i < cap; ++w) {
-          uint64_t bits = scratch->pool_mask[w];
-          const uint64_t count = static_cast<uint64_t>(std::popcount(bits));
-          uint64_t consumed = 0;  // bits cleared from this word so far
-          while (i < cap) {
-            const uint64_t target = static_cast<uint64_t>(
-                static_cast<uint32_t>(i) * step);
-            if (target >= rank + count) break;
-            // Drop set bits below the target rank, then take the lowest.
-            for (; rank + consumed < target; ++consumed) bits &= bits - 1;
-            scratch->pool.push_back(
-                static_cast<uint32_t>(w * 64 + std::countr_zero(bits)));
-            ++i;
-          }
-          rank += count;
-        }
-        std::fill(scratch->pool_mask.begin(), scratch->pool_mask.end(), 0);
-        for (uint32_t v : scratch->pool) {
-          scratch->pool_mask[v >> 6] |= uint64_t{1} << (v & 63);
-        }
-      }
-      uint32_t best = kNoLocalId;
-      int64_t best_score = -1;
-      for (uint32_t v : candidates) {
-        auto row = view.DirRow(v);
-        int64_t score = 0;
-        for (size_t w = 0; w < words; ++w) {
-          score += std::popcount(row[w] & scratch->pool_mask[w]);
-        }
-        if (score > best_score) {
-          best_score = score;
-          best = v;
-        }
-      }
-      return best;
-    }
-    case UserPolicy::kRandom: {
-      TFSN_CHECK(rng != nullptr);
-      return candidates[rng->NextBounded(candidates.size())];
-    }
-  }
-  return kNoLocalId;
-}
-
-bool GreedyTeamFormer::ViewWorthBuilding(const Task& task, size_t num_seeds,
-                                         size_t universe_size) const {
-  // The view costs ~m row-cache probes to prewarm (m = holder-universe
-  // size) plus lazy per-row gathers; the oracle seed loop costs up to
-  // seeds × Σ_s |holders(s)| row lookups, each a shard-mutex hash probe
-  // plus a full-row dereference — but failing seeds stop early, so the
-  // upper bound overshoots small instances badly. Requiring the estimated
-  // loop work to reach the quadratic regime (a constant fraction of m^2)
-  // empirically separates "trivial task, oracle wins" from "dense task,
-  // view wins"; either choice returns bit-identical results.
-  uint64_t sum_holders = 0;
-  for (SkillId s : task.skills()) sum_holders += skills_.Frequency(s);
-  const uint64_t m = universe_size;
-  const uint64_t est_lookups = static_cast<uint64_t>(num_seeds) * sum_holders;
-  return est_lookups * 4 >= m * m;
-}
-
-TeamResult GreedyTeamFormer::CompleteSeedOracle(const Task& task, NodeId seed,
-                                                Rng* rng) {
-  TeamResult candidate;
-  std::vector<NodeId> team{seed};
-  SkillCoverage coverage(task);
-  coverage.Cover(skills_.SkillsOf(seed));
-  while (!coverage.AllCovered()) {
-    std::vector<SkillId> uncovered = coverage.Uncovered();
-    SkillId s = SelectSkill(uncovered);  // line 8
-    // Skills still uncovered after s is handled; used by kMostCompatible.
-    std::vector<SkillId> rest;
-    for (SkillId t : uncovered) {
-      if (t != s) rest.push_back(t);
-    }
-    NodeId v = SelectUser(s, team, rest, rng);  // lines 9-10
-    if (v == kInvalidNode) return candidate;
-    team.push_back(v);
-    coverage.Cover(skills_.SkillsOf(v));
-  }
-  candidate.found = true;
-  std::sort(team.begin(), team.end());
-  candidate.cost = TeamDiameter(oracle_, team);
-  candidate.objective = params_.cost_kind == CostKind::kDiameter
-                            ? ObjectiveFromDiameter(candidate.cost)
-                            : TeamCost(oracle_, team, params_.cost_kind);
-  candidate.members = std::move(team);
-  return candidate;
-}
-
-TeamResult GreedyTeamFormer::CompleteSeedView(const TaskCompatView& view,
-                                              const Task& task,
-                                              uint32_t seed_local,
-                                              Rng* rng) const {
-  TeamResult candidate;
-  ViewScratch scratch;
-  std::vector<uint32_t> team{seed_local};
-  SkillCoverage coverage(task);
-  coverage.Cover(skills_.SkillsOf(view.GlobalOf(seed_local)));
-  while (!coverage.AllCovered()) {
-    std::vector<SkillId> uncovered = coverage.Uncovered();
-    SkillId s = SelectSkill(uncovered);
-    std::vector<SkillId> rest;
-    for (SkillId t : uncovered) {
-      if (t != s) rest.push_back(t);
-    }
-    const uint32_t v = SelectUserView(view, s, team, rest, rng, &scratch);
-    if (v == kNoLocalId) return candidate;
-    team.push_back(v);
-    coverage.Cover(skills_.SkillsOf(view.GlobalOf(v)));
-  }
-  candidate.found = true;
-  // Local ids ascend with global ids, so this sort yields the same member
-  // order as the oracle path's sort of global ids.
-  std::sort(team.begin(), team.end());
-  candidate.cost = TeamDiameter(view, team);
-  candidate.objective = params_.cost_kind == CostKind::kDiameter
-                            ? ObjectiveFromDiameter(candidate.cost)
-                            : TeamCost(view, team, params_.cost_kind);
-  candidate.members.reserve(team.size());
-  for (uint32_t local : team) candidate.members.push_back(view.GlobalOf(local));
-  return candidate;
-}
-
 // Runs the seed loop of Algorithm 2 and collects every successful candidate
 // team into `sink` (members sorted, costs evaluated). Returns (seeds tried,
 // seeds succeeded).
@@ -384,63 +267,37 @@ std::pair<uint32_t, uint32_t> GreedyTeamFormer::EnumerateCandidates(
     std::vector<TeamResult>* sink) {
   // Initial skill (line 3) over the whole task.
   std::vector<SkillId> all_skills(task.skills().begin(), task.skills().end());
-  SkillId first = SelectSkill(all_skills);
+  const SkillId first =
+      SelectSkillByPolicy(params_.skill_policy, skills_, index_, all_skills);
 
   // Seed set: holders of the initial skill, optionally capped by sampling.
   std::vector<NodeId> seeds =
       GreedySeedSet(skills_, first, params_.max_seeds, rng);
 
-  // The task's holder universe — every candidate the seed loop can touch
-  // holds one of the task's skills. Computed once and shared by the
-  // build-worthiness estimate, the view build, and the oracle-path cache
-  // prewarm. A caller-supplied view already paid for all of that (over a
-  // possibly larger universe), so the block is skipped entirely.
+  // Dense path: materialize the task-local view once (its row fetch doubles
+  // as the cache prewarm). A caller-supplied view already paid for that,
+  // over a possibly larger universe. The oracle serves only kOracle and the
+  // tasks whose view cannot be represented; the path never changes the
+  // results, only how they are computed.
   std::unique_ptr<TaskCompatView> owned_view;
   const TaskCompatView* view = shared_view;
-  if (view == nullptr) {
-    std::vector<NodeId> universe;
-    const bool need_universe = params_.eval_path != GreedyEvalPath::kOracle ||
-                               params_.prefetch_threads > 0;
-    if (need_universe) {
-      universe = HolderUniverse(skills_, task.skills());
-    }
-
-    // Dense fast path: materialize the task-local view once (its row fetch
-    // doubles as the cache prewarm). Falls back to the oracle when disabled,
-    // over budget, not worth building, or the graph is too large for uint16
-    // distances. The path choice never changes the results — only how they
-    // are computed — so kAuto is free to pick either.
-    if (params_.eval_path == GreedyEvalPath::kView ||
-        (params_.eval_path == GreedyEvalPath::kAuto &&
-         ViewWorthBuilding(task, seeds.size(), universe.size()))) {
-      const uint32_t build_threads =
-          params_.prefetch_threads == 0 ? 1 : params_.prefetch_threads;
-      // Keep our universe copy alive: a build that falls back (budget /
-      // node-count gate) still wants the prewarm below.
-      owned_view = TaskCompatView::BuildFromUniverse(
-          oracle_, skills_, task, std::vector<NodeId>(universe), build_threads,
-          params_.view_max_bytes);
-      view = owned_view.get();
-    }
-    if (view == nullptr && params_.prefetch_threads > 0) {
-      // Oracle path: warm the row cache for the whole universe so the
-      // misses are computed by parallel workers instead of serially on
-      // first use.
-      oracle_->StreamRows(universe, params_.prefetch_threads,
-                          [](size_t, const CompatibilityOracle::Row&) {});
-    }
+  if (view == nullptr && params_.eval_path != GreedyEvalPath::kOracle) {
+    owned_view =
+        TaskCompatView::Build(oracle_, skills_, task,
+                              std::max<uint32_t>(1, params_.prefetch_threads));
+    view = owned_view.get();
+  }
+  if (view == nullptr && params_.prefetch_threads > 0) {
+    // Oracle path: warm the row cache for the whole holder universe so the
+    // misses are computed by parallel workers instead of serially on first
+    // use.
+    oracle_->StreamRows(HolderUniverse(skills_, task.skills()),
+                        params_.prefetch_threads,
+                        [](size_t, const CompatibilityOracle::Row&) {});
   }
 
-  // Only the RANDOM user policy consumes randomness inside the loop. Fork
-  // one stream per seed, in seed order, so results are bit-identical for
-  // every seed_threads setting and for both evaluation paths. (Non-random
-  // policies leave the caller's stream untouched, exactly as before.)
-  std::vector<Rng> seed_rngs;
-  if (params_.user_policy == UserPolicy::kRandom) {
-    TFSN_CHECK(rng != nullptr);
-    seed_rngs.reserve(seeds.size());
-    for (size_t i = 0; i < seeds.size(); ++i) seed_rngs.push_back(rng->Fork());
-  }
+  std::vector<Rng> seed_rngs =
+      ForkSeedRngs(params_.user_policy, seeds.size(), rng);
   auto seed_rng_at = [&](size_t i) -> Rng* {
     return seed_rngs.empty() ? nullptr : &seed_rngs[i];
   };
@@ -449,22 +306,25 @@ std::pair<uint32_t, uint32_t> GreedyTeamFormer::EnumerateCandidates(
   // no matter how many workers ran the loop.
   std::vector<TeamResult> slots(seeds.size());
   if (view != nullptr) {
-    const TaskCompatView& v = *view;
-    TFSN_DCHECK(v.kind() == oracle_->kind());
+    TFSN_DCHECK(view->kind() == oracle_->kind());
     const uint32_t threads =
         params_.seed_threads == 1 ? 1 : ResolveThreads(params_.seed_threads);
     ParallelForEach(seeds.size(), threads, [&](uint64_t i) {
-      const uint32_t seed_local = v.LocalOf(seeds[i]);
+      const uint32_t seed_local = view->LocalOf(seeds[i]);
       // Every holder of a task skill is in the view universe — also when
       // the view was supplied by a caller for a superset task.
       TFSN_CHECK(seed_local != kNoLocalId);
-      slots[i] = CompleteSeedView(v, task, seed_local, seed_rng_at(i));
+      ViewRows rows(*view);
+      slots[i] = CompleteSeedOver(rows, skills_, index_, params_, task,
+                                  seed_local, seed_rng_at(i));
     });
   } else {
     // One oracle instance is not thread-safe (GetRow pins rows into
-    // instance-local state), so the fallback path stays serial.
+    // instance-local state), so the oracle path stays serial.
+    OracleRows rows(oracle_, skills_);
     for (size_t i = 0; i < seeds.size(); ++i) {
-      slots[i] = CompleteSeedOracle(task, seeds[i], seed_rng_at(i));
+      slots[i] = CompleteSeedOver(rows, skills_, index_, params_, task,
+                                  seeds[i], seed_rng_at(i));
     }
   }
 
@@ -498,20 +358,7 @@ TeamResult GreedyTeamFormer::FormImpl(const Task& task, Rng* rng,
       EnumerateCandidates(task, rng, shared_view, &candidates);
   result.seeds_tried = tried;
   result.seeds_succeeded = succeeded;
-  const TeamResult* best = nullptr;
-  for (const TeamResult& c : candidates) {
-    if (best == nullptr || c.objective < best->objective ||
-        (c.objective == best->objective &&
-         c.members.size() < best->members.size())) {
-      best = &c;
-    }
-  }
-  if (best != nullptr) {
-    result.found = true;
-    result.members = best->members;
-    result.cost = best->cost;
-    result.objective = best->objective;
-  }
+  TakeBestCandidate(candidates, &result);
   return result;
 }
 

@@ -16,7 +16,9 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,21 +75,26 @@ std::vector<NodeId> GreedySeedSet(const SkillAssignment& skills,
                                   SkillId first_skill, uint32_t max_seeds,
                                   Rng* rng);
 
-/// kMostCompatible's deterministic pool thinning: when `pool` (sorted,
-/// deduplicated) exceeds `cap` > 0, keeps the evenly spaced subset at
-/// ranks floor(i * |pool| / cap). Exposed so the sharded workers thin
-/// with bit-identical arithmetic.
-void ThinPoolEvenly(std::vector<NodeId>* pool, uint32_t cap);
+/// kMostCompatible's future-holder pool: the holders of `rest`, sorted and
+/// deduplicated, then — when more than `cap` > 0 — thinned to the evenly
+/// spaced subset at ranks floor(i * |pool| / cap). The dense view's
+/// rank-select thinning replicates this arithmetic bit for bit.
+std::vector<NodeId> FutureHolderPool(const SkillAssignment& skills,
+                                     std::span<const SkillId> rest,
+                                     uint32_t cap);
 
-/// How Form/FormTopK evaluate compatibility inside the seed loop.
+/// How Form/FormTopK evaluate compatibility inside the seed loop. Every
+/// path returns bit-identical results.
 enum class GreedyEvalPath : uint8_t {
-  /// Build the task-local dense view (task_view.h) when it fits the byte
-  /// budget and all distances pack into uint16; oracle otherwise.
+  /// The default; selects the same path as kView.
   kAuto,
-  /// Prefer the view; still falls back to the oracle when the view cannot
-  /// be represented (budget or distance overflow).
+  /// Build the task-local dense view (task_view.h). Falls back to the
+  /// oracle only when the view cannot be represented — 2^15 - 1 or more
+  /// nodes (distances overflow uint16), or a view over
+  /// TaskCompatView::kDefaultMaxBytes — or the task_view.build_fail fault
+  /// fires.
   kView,
-  /// Consume the oracle pair-by-pair (the pre-view reference path).
+  /// Consume the oracle pair by pair: the reference path.
   kOracle,
 };
 
@@ -120,9 +127,6 @@ struct GreedyParams {
   uint32_t seed_threads = 1;
   /// Evaluation path selection (see GreedyEvalPath).
   GreedyEvalPath eval_path = GreedyEvalPath::kAuto;
-  /// Byte budget for the task-local dense view: ~1 bit (2 for SBPH) plus
-  /// 2 bytes per candidate pair. Oversized tasks fall back to the oracle.
-  size_t view_max_bytes = TaskCompatView::kDefaultMaxBytes;
   /// Objective used to pick the best candidate team across seeds (the
   /// paper uses the diameter). The kMinDistance user policy always greedily
   /// bounds the diameter; this only changes the final argmin.
@@ -146,6 +150,26 @@ struct TeamResult {
   /// Seeds whose greedy completion succeeded.
   uint32_t seeds_succeeded = 0;
 };
+
+/// The kDiameter objective of a team with this diameter (the mapping
+/// TeamCost applies), so candidate evaluation derives the objective from
+/// its one pairwise sweep.
+inline uint64_t ObjectiveFromDiameter(uint32_t diameter) {
+  return diameter == kUnreachable ? std::numeric_limits<uint64_t>::max()
+                                  : diameter;
+}
+
+/// The RANDOM user policy's per-seed streams: one Rng::Fork per seed, in
+/// seed order, so every engine and seed-thread count consumes the same
+/// stream. Empty, with `rng` untouched, for the other user policies.
+std::vector<Rng> ForkSeedRngs(UserPolicy policy, size_t num_seeds, Rng* rng);
+
+/// Algorithm 2's merge over the seeds' candidate teams: the first one with
+/// the strictly smallest objective, ties going to the smaller team, is
+/// copied into *result (members, cost, objective, found). *result is left
+/// as it is when `candidates` is empty.
+void TakeBestCandidate(std::span<const TeamResult> candidates,
+                       TeamResult* result);
 
 /// Greedy team former bound to one (graph, skills, relation) triple.
 class GreedyTeamFormer {
@@ -182,15 +206,6 @@ class GreedyTeamFormer {
   const GreedyParams& params() const { return params_; }
 
  private:
-  /// Per-seed scratch buffers for the view path, reused across greedy
-  /// steps of one seed (each worker owns its own instance).
-  struct ViewScratch {
-    std::vector<uint64_t> cand_mask;
-    std::vector<uint64_t> pool_mask;
-    std::vector<uint32_t> candidates;
-    std::vector<uint32_t> pool;
-  };
-
   /// Seed loop shared by Form/FormTopK/FormWithView. When `shared_view`
   /// is non-null it is used as-is (no build, no prefetch); its task must
   /// cover `task`'s skills.
@@ -201,37 +216,6 @@ class GreedyTeamFormer {
   /// Common body of Form and FormWithView.
   TeamResult FormImpl(const Task& task, Rng* rng,
                       const TaskCompatView* shared_view);
-
-  /// Orders `skills` by the configured skill policy (ascending priority:
-  /// element 0 is picked first).
-  SkillId SelectSkill(const std::vector<SkillId>& uncovered) const;
-
-  /// Picks a holder of `skill` compatible with all of `team`, or
-  /// kInvalidNode. Candidates already in the team are skipped (they cannot
-  /// hold the skill — it is uncovered — but guard anyway).
-  NodeId SelectUser(SkillId skill, const std::vector<NodeId>& team,
-                    const std::vector<SkillId>& uncovered_after, Rng* rng);
-
-  /// View-path SelectUser over local ids; bit-identical selection.
-  uint32_t SelectUserView(const TaskCompatView& view, SkillId skill,
-                          const std::vector<uint32_t>& team,
-                          const std::vector<SkillId>& uncovered_after,
-                          Rng* rng, ViewScratch* scratch) const;
-
-  /// kAuto cost model: true when the estimated oracle-path seed-loop work
-  /// amortizes the dense-view build for this task (`universe_size` = the
-  /// already-computed holder-universe size m).
-  bool ViewWorthBuilding(const Task& task, size_t num_seeds,
-                         size_t universe_size) const;
-
-  /// Greedy completion of one seed against the oracle (serial reference
-  /// path). Returns the evaluated candidate team or found == false.
-  TeamResult CompleteSeedOracle(const Task& task, NodeId seed, Rng* rng);
-
-  /// Greedy completion of one seed against the dense view; thread-safe
-  /// (const view, const indexes, per-call scratch).
-  TeamResult CompleteSeedView(const TaskCompatView& view, const Task& task,
-                              uint32_t seed_local, Rng* rng) const;
 
   CompatibilityOracle* oracle_;
   const SkillAssignment& skills_;

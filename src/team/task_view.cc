@@ -69,16 +69,10 @@ size_t TaskCompatView::bytes() const {
          holder_counts_.capacity() * sizeof(uint32_t);
 }
 
-void TaskCompatView::MaterializeDirRow(uint32_t local) const {
-  MutexLock lock(&row_locks_[local % kLockStripes]);
-  if (dir_ready_[local].load(std::memory_order_relaxed)) return;
-  // Almost always a cache hit: Build() batch-prewarmed the universe. An
-  // evicted row is recomputed by the kernel — pricier, but the values are
-  // identical.
-  std::shared_ptr<const CompatibilityOracle::Row> row =
-      oracle_->GetRowShared(universe_[local]);
+void TaskCompatView::GatherCompBits(const CompatibilityOracle::Row& row,
+                                    uint32_t local) const {
   uint64_t* bits = dir_bits_.get() + static_cast<size_t>(local) * words_;
-  const uint8_t* comp_src = row->comp.data();
+  const uint8_t* comp_src = row.comp.data();
   const NodeId* uni = universe_.data();
   const size_t m = m_;
   for (size_t w = 0; w < words_; ++w) {
@@ -89,24 +83,100 @@ void TaskCompatView::MaterializeDirRow(uint32_t local) const {
     }
     bits[w] = word;
   }
+}
+
+void TaskCompatView::GatherDistances(const CompatibilityOracle::Row& row,
+                                     uint32_t local) const {
+  uint16_t* dist = dist_.get() + static_cast<size_t>(local) * m_;
+  const uint32_t* dist_src = row.dist.data();
+  const NodeId* uni = universe_.data();
+  for (size_t j = 0; j < m_; ++j) {
+    // kUnreachable saturates to the sentinel; finite distances fit by the
+    // node-count gate in Fits().
+    dist[j] = static_cast<uint16_t>(
+        std::min<uint32_t>(dist_src[uni[j]], kDenseUnreachable));
+  }
+}
+
+void TaskCompatView::MaterializeDirRow(uint32_t local) const {
+  MutexLock lock(&row_locks_[local % kLockStripes]);
+  if (dir_ready_[local].load(std::memory_order_relaxed)) return;
+  // Almost always a cache hit: Build() batch-prewarmed the universe. An
+  // evicted row is recomputed by the kernel — pricier, but the values are
+  // identical.
+  GatherCompBits(*oracle_->GetRowShared(universe_[local]), local);
   dir_ready_[local].store(1, std::memory_order_release);
 }
 
 void TaskCompatView::MaterializeDistRow(uint32_t local) const {
   MutexLock lock(&row_locks_[local % kLockStripes]);
   if (dist_ready_[local].load(std::memory_order_relaxed)) return;
-  std::shared_ptr<const CompatibilityOracle::Row> row =
-      oracle_->GetRowShared(universe_[local]);
-  uint16_t* dist = dist_.get() + static_cast<size_t>(local) * m_;
-  const uint32_t* dist_src = row->dist.data();
-  const NodeId* uni = universe_.data();
-  for (size_t j = 0; j < m_; ++j) {
-    // kUnreachable saturates to the sentinel; finite distances fit by the
-    // Build() node-count gate.
-    dist[j] = static_cast<uint16_t>(
-        std::min<uint32_t>(dist_src[uni[j]], kDenseUnreachable));
-  }
+  GatherDistances(*oracle_->GetRowShared(universe_[local]), local);
   dist_ready_[local].store(1, std::memory_order_release);
+}
+
+bool TaskCompatView::Fits(const CompatibilityOracle& oracle, size_t m,
+                          size_t num_task_skills, size_t max_bytes) {
+  // Finite relation distances are path lengths over at most (node, side)
+  // states, hence < 2 * num_nodes; this gate guarantees they all fit
+  // under the uint16 sentinel so no per-cell overflow checks are needed.
+  if (oracle.graph().num_nodes() >= kDenseUnreachable / 2) return false;
+  return EstimateBytes(m, num_task_skills,
+                       oracle.kind() == CompatKind::kSBPH) <= max_bytes;
+}
+
+std::unique_ptr<TaskCompatView> TaskCompatView::Allocate(
+    CompatibilityOracle* oracle, const Task& task,
+    std::vector<NodeId> universe) {
+  const size_t m = universe.size();
+  const size_t words = (m + 63) / 64;
+  std::unique_ptr<TaskCompatView> view(new TaskCompatView());
+  view->oracle_ = oracle;
+  view->task_ = task;
+  view->kind_ = oracle->kind();
+  view->m_ = static_cast<uint32_t>(m);
+  view->words_ = words;
+  view->universe_ = std::move(universe);
+  // Dense rows are deliberately left uninitialized (no m^2 zeroing): each
+  // row is filled before its ready flag is set.
+  view->dir_bits_.reset(new uint64_t[m * words]);
+  view->dist_.reset(new uint16_t[m * m]);
+  view->dir_ready_.reset(new std::atomic<uint8_t>[m]);
+  view->dist_ready_.reset(new std::atomic<uint8_t>[m]);
+  return view;
+}
+
+void TaskCompatView::Finish(const SkillAssignment& skills) {
+  if (kind_ == CompatKind::kSBPH) {
+    // Symmetric closure dir | dir^T over the filled directional bits, so
+    // the seed loop's AND-folds stay plain word operations.
+    const uint64_t* dir = dir_bits_.get();
+    pair_bits_.assign(dir, dir + static_cast<size_t>(m_) * words_);
+    for (size_t i = 0; i < m_; ++i) {
+      const uint64_t* row_i = dir + i * words_;
+      for (size_t j = i + 1; j < m_; ++j) {
+        if ((row_i[j >> 6] >> (j & 63)) & 1u) {
+          pair_bits_[j * words_ + (i >> 6)] |= uint64_t{1} << (i & 63);
+        }
+        if ((dir[j * words_ + (i >> 6)] >> (i & 63)) & 1u) {
+          pair_bits_[i * words_ + (j >> 6)] |= uint64_t{1} << (j & 63);
+        }
+      }
+    }
+  }
+  auto task_skills = task_.skills();
+  holder_bits_.assign(task_skills.size() * words_, 0);
+  holder_counts_.assign(task_skills.size(), 0);
+  for (size_t p = 0; p < task_skills.size(); ++p) {
+    uint64_t* mask = holder_bits_.data() + p * words_;
+    auto holders = skills.Holders(task_skills[p]);
+    for (NodeId h : holders) {
+      const uint32_t local = LocalOf(h);
+      TFSN_CHECK(local != kNoLocalId);
+      mask[local >> 6] |= uint64_t{1} << (local & 63);
+    }
+    holder_counts_[p] = static_cast<uint32_t>(holders.size());
+  }
 }
 
 std::unique_ptr<TaskCompatView> TaskCompatView::Build(
@@ -122,39 +192,20 @@ std::unique_ptr<TaskCompatView> TaskCompatView::BuildFromUniverse(
     const Task& task, std::vector<NodeId> universe, uint32_t threads,
     size_t max_bytes) {
   TFSN_CHECK(oracle != nullptr);
-  // Finite relation distances are path lengths over at most (node, side)
-  // states, hence < 2 * num_nodes; this gate guarantees they all fit
-  // under the uint16 sentinel so no per-cell overflow checks are needed.
-  if (oracle->graph().num_nodes() >= kDenseUnreachable / 2) return nullptr;
-  auto task_skills = task.skills();
-
-  const size_t m = universe.size();
-  const size_t words = (m + 63) / 64;
-  const bool sbph = oracle->kind() == CompatKind::kSBPH;
-  if (EstimateBytes(m, task_skills.size(), sbph) > max_bytes) return nullptr;
-
+  if (!Fits(*oracle, universe.size(), task.skills().size(), max_bytes)) {
+    return nullptr;
+  }
   // Injected allocation/build failure: callers already treat nullptr as
   // "use the oracle directly", which is bit-identical.
   if (TFSN_FAULT_POINT("task_view.build_fail")) return nullptr;
 
-  std::unique_ptr<TaskCompatView> view(new TaskCompatView());
-  view->oracle_ = oracle;
-  view->task_ = task;
-  view->kind_ = oracle->kind();
-  view->m_ = static_cast<uint32_t>(m);
-  view->words_ = words;
-  view->universe_ = std::move(universe);
-  // Dense rows are deliberately left uninitialized (no m^2 zeroing): each
-  // row is gathered on first touch, gated by its ready flag.
-  view->dir_bits_.reset(new uint64_t[m * words]);
-  view->dist_.reset(new uint16_t[m * m]);
-  view->dir_ready_.reset(new std::atomic<uint8_t>[m]);
-  view->dist_ready_.reset(new std::atomic<uint8_t>[m]);
-  for (size_t i = 0; i < m; ++i) {
+  std::unique_ptr<TaskCompatView> view =
+      Allocate(oracle, task, std::move(universe));
+  const bool sbph = view->kind_ == CompatKind::kSBPH;
+  for (size_t i = 0; i < view->m_; ++i) {
     view->dir_ready_[i].store(sbph ? 1 : 0, std::memory_order_relaxed);
     view->dist_ready_[i].store(0, std::memory_order_relaxed);
   }
-
   if (!sbph) {
     // Batched cache prewarm: each chunk's misses are computed in parallel
     // — 64-way bit-parallel where the relation allows — and published to
@@ -166,51 +217,14 @@ std::unique_ptr<TaskCompatView> TaskCompatView::BuildFromUniverse(
   } else {
     // SBPH pair semantics are the symmetric closure of the direction-
     // dependent heuristic rows (see CompatibilityOracle::Compatible),
-    // which needs the transpose — so fill every dir row eagerly and
-    // materialize dir | dir^T once, keeping the seed loop's AND-folds
-    // plain word operations.
-    const NodeId* uni = view->universe_.data();
-    oracle->StreamRows(
-        view->universe_, threads,
-        [&](size_t i, const CompatibilityOracle::Row& row) {
-          uint64_t* bits = view->dir_bits_.get() + i * words;
-          const uint8_t* comp_src = row.comp.data();
-          for (size_t w = 0; w < words; ++w) {
-            const size_t j_end = std::min(m, (w + 1) * 64);
-            uint64_t word = 0;
-            for (size_t j = w * 64; j < j_end; ++j) {
-              word |= static_cast<uint64_t>(comp_src[uni[j]] != 0) << (j & 63);
-            }
-            bits[w] = word;
-          }
-        });
-    view->pair_bits_.assign(view->dir_bits_.get(),
-                            view->dir_bits_.get() + m * words);
-    for (size_t i = 0; i < m; ++i) {
-      const uint64_t* row_i = view->dir_bits_.get() + i * words;
-      for (size_t j = i + 1; j < m; ++j) {
-        if ((row_i[j >> 6] >> (j & 63)) & 1u) {
-          view->pair_bits_[j * words + (i >> 6)] |= uint64_t{1} << (i & 63);
-        }
-        if ((view->dir_bits_[j * words + (i >> 6)] >> (i & 63)) & 1u) {
-          view->pair_bits_[i * words + (j >> 6)] |= uint64_t{1} << (j & 63);
-        }
-      }
-    }
+    // which needs the transpose — so every dir row is filled eagerly for
+    // Finish() to close.
+    oracle->StreamRows(view->universe_, threads,
+                       [&](size_t i, const CompatibilityOracle::Row& row) {
+                         view->GatherCompBits(row, static_cast<uint32_t>(i));
+                       });
   }
-
-  view->holder_bits_.assign(task_skills.size() * words, 0);
-  view->holder_counts_.assign(task_skills.size(), 0);
-  for (size_t p = 0; p < task_skills.size(); ++p) {
-    uint64_t* mask = view->holder_bits_.data() + p * words;
-    auto holders = skills.Holders(task_skills[p]);
-    for (NodeId h : holders) {
-      const uint32_t local = view->LocalOf(h);
-      TFSN_CHECK(local != kNoLocalId);
-      mask[local >> 6] |= uint64_t{1} << (local & 63);
-    }
-    view->holder_counts_[p] = static_cast<uint32_t>(holders.size());
-  }
+  view->Finish(skills);
   return view;
 }
 
@@ -221,94 +235,37 @@ std::unique_ptr<TaskCompatView> TaskCompatView::BuildFromCachedRows(
   TFSN_CHECK(oracle != nullptr);
   TFSN_CHECK(complete != nullptr);
   *complete = false;
-  if (oracle->graph().num_nodes() >= kDenseUnreachable / 2) return nullptr;
-  auto task_skills = task.skills();
-
-  const size_t m = universe.size();
-  const size_t words = (m + 63) / 64;
-  const bool sbph = oracle->kind() == CompatKind::kSBPH;
-  if (EstimateBytes(m, task_skills.size(), sbph) > max_bytes) return nullptr;
-
-  std::unique_ptr<TaskCompatView> view(new TaskCompatView());
-  view->oracle_ = oracle;
-  view->task_ = task;
-  view->kind_ = oracle->kind();
-  view->m_ = static_cast<uint32_t>(m);
-  view->words_ = words;
-  view->universe_ = std::move(universe);
-  view->dir_bits_.reset(new uint64_t[m * words]);
-  view->dist_.reset(new uint16_t[m * m]);
-  view->dir_ready_.reset(new std::atomic<uint8_t>[m]);
-  view->dist_ready_.reset(new std::atomic<uint8_t>[m]);
+  if (!Fits(*oracle, universe.size(), task.skills().size(), max_bytes)) {
+    return nullptr;
+  }
+  std::unique_ptr<TaskCompatView> view =
+      Allocate(oracle, task, std::move(universe));
 
   // Every row fills eagerly — from its cached oracle row when resident,
   // pessimistically otherwise — and both ready sets are fully published,
   // so the lazy materializers (and hence the oracle's compute path) are
   // never reached through this view.
-  const NodeId* uni = view->universe_.data();
   bool all_cached = true;
-  for (size_t i = 0; i < m; ++i) {
-    uint64_t* bits = view->dir_bits_.get() + i * words;
-    uint16_t* dist = view->dist_.get() + i * m;
+  for (uint32_t i = 0; i < view->m_; ++i) {
     std::shared_ptr<const CompatibilityOracle::Row> row =
-        oracle->PeekRow(uni[i]);
+        oracle->PeekRow(view->universe_[i]);
     if (row != nullptr) {
-      const uint8_t* comp_src = row->comp.data();
-      const uint32_t* dist_src = row->dist.data();
-      for (size_t w = 0; w < words; ++w) {
-        const size_t j_end = std::min(m, (w + 1) * 64);
-        uint64_t word = 0;
-        for (size_t j = w * 64; j < j_end; ++j) {
-          word |= static_cast<uint64_t>(comp_src[uni[j]] != 0) << (j & 63);
-        }
-        bits[w] = word;
-      }
-      for (size_t j = 0; j < m; ++j) {
-        dist[j] = static_cast<uint16_t>(
-            std::min<uint32_t>(dist_src[uni[j]], kDenseUnreachable));
-      }
+      view->GatherCompBits(*row, i);
+      view->GatherDistances(*row, i);
     } else {
       // Pessimistic fill: an unknown candidate admits nobody and reaches
       // nobody, so teams formed against the view only ever rely on pairs
       // a real row confirmed (sound, possibly suboptimal).
       all_cached = false;
-      std::fill(bits, bits + words, uint64_t{0});
-      std::fill(dist, dist + m, kDenseUnreachable);
+      uint64_t* bits = view->dir_bits_.get() + size_t{i} * view->words_;
+      uint16_t* dist = view->dist_.get() + size_t{i} * view->m_;
+      std::fill(bits, bits + view->words_, uint64_t{0});
+      std::fill(dist, dist + view->m_, kDenseUnreachable);
     }
     view->dir_ready_[i].store(1, std::memory_order_relaxed);
     view->dist_ready_[i].store(1, std::memory_order_relaxed);
   }
-
-  if (sbph) {
-    // Symmetric closure over the known directional bits, exactly as the
-    // eager full build computes it.
-    view->pair_bits_.assign(view->dir_bits_.get(),
-                            view->dir_bits_.get() + m * words);
-    for (size_t i = 0; i < m; ++i) {
-      const uint64_t* row_i = view->dir_bits_.get() + i * words;
-      for (size_t j = i + 1; j < m; ++j) {
-        if ((row_i[j >> 6] >> (j & 63)) & 1u) {
-          view->pair_bits_[j * words + (i >> 6)] |= uint64_t{1} << (i & 63);
-        }
-        if ((view->dir_bits_[j * words + (i >> 6)] >> (i & 63)) & 1u) {
-          view->pair_bits_[i * words + (j >> 6)] |= uint64_t{1} << (j & 63);
-        }
-      }
-    }
-  }
-
-  view->holder_bits_.assign(task_skills.size() * words, 0);
-  view->holder_counts_.assign(task_skills.size(), 0);
-  for (size_t p = 0; p < task_skills.size(); ++p) {
-    uint64_t* mask = view->holder_bits_.data() + p * words;
-    auto holders = skills.Holders(task_skills[p]);
-    for (NodeId h : holders) {
-      const uint32_t local = view->LocalOf(h);
-      TFSN_CHECK(local != kNoLocalId);
-      mask[local >> 6] |= uint64_t{1} << (local & 63);
-    }
-    view->holder_counts_[p] = static_cast<uint32_t>(holders.size());
-  }
+  view->Finish(skills);
   *complete = all_cached;
   return view;
 }

@@ -211,6 +211,27 @@ class TaskCompatView {
  private:
   TaskCompatView() = default;
 
+  /// The two gates both builders share: fewer than 2^15 - 1 graph nodes
+  /// (finite distances fit in uint16) and EstimateBytes <= `max_bytes`.
+  static bool Fits(const CompatibilityOracle& oracle, size_t m,
+                   size_t num_task_skills, size_t max_bytes);
+  /// A view over `universe` with its dense rows allocated but not filled
+  /// and no ready flag initialized.
+  static std::unique_ptr<TaskCompatView> Allocate(CompatibilityOracle* oracle,
+                                                  const Task& task,
+                                                  std::vector<NodeId> universe);
+  /// Completes a build once the rows it fills eagerly are in: the SBPH
+  /// symmetric closure (over every directional row) and the holder masks.
+  void Finish(const SkillAssignment& skills);
+
+  /// Gather `row` — the oracle row of universe_[local] — restricted to the
+  /// universe into dense row `local`: comp bits, or distances with
+  /// kUnreachable saturated to the sentinel.
+  void GatherCompBits(const CompatibilityOracle::Row& row,
+                      uint32_t local) const;
+  void GatherDistances(const CompatibilityOracle::Row& row,
+                       uint32_t local) const;
+
   /// Gather the dense comp-bit / distance row of `local` from the
   /// (cached) oracle row. Idempotent; serialized per striped lock
   /// (row_locks_[local % kLockStripes]) so concurrent seed workers never

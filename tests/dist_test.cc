@@ -617,6 +617,58 @@ TEST(TransportHammerTest, RecvTimesOutAndCloseDrainsBeforeUnavailable) {
 }
 
 // ---------------------------------------------------------------------------
+// ShardWorker wire validation
+// ---------------------------------------------------------------------------
+
+TEST(ShardWorkerTest, StepSkillOutsideTheTaskGetsTypedErrorReply) {
+  Instance inst = MakeInstance(40, 100, 0.2, 8, 181);
+  ASSERT_FALSE(inst.skills.Holders(0).empty());
+  ShardPlan plan(ShardStrategy::kHash, inst.graph.num_nodes(), 1);
+  InProcessTransport transport(1);
+  ShardWorker worker(
+      0, inst.graph, inst.skills, plan, &transport,
+      [](const SignedGraph& g) { return MakeOracle(g, CompatKind::kSPM); },
+      ShardWorkerOptions{});
+  std::thread thread([&worker] { worker.Run(); });
+  const uint32_t coordinator = transport.coordinator();
+
+  Message begin;
+  begin.type = MsgType::kFormBegin;
+  begin.src = coordinator;
+  begin.run = 1;
+  begin.task_skills = {0, 1};
+  begin.user_policy = static_cast<uint8_t>(UserPolicy::kMinDistance);
+  ASSERT_TRUE(transport.Send(coordinator, 0, begin).ok());
+  Message step;
+  step.type = MsgType::kEvalStep;
+  step.src = coordinator;
+  step.run = 1;
+  step.new_member = inst.skills.Holders(0)[0];
+  step.skill = 5;  // a valid skill id, but not one of the run's task
+  ASSERT_TRUE(transport.Send(coordinator, 0, step).ok());
+  Message bad;
+  const Status got_bad = transport.Recv(coordinator, 10'000, &bad);
+  // The worker keeps serving the run: the same step with a task skill
+  // gets a normal reply.
+  step.skill = 1;
+  ASSERT_TRUE(transport.Send(coordinator, 0, step).ok());
+  Message good;
+  const Status got_good = transport.Recv(coordinator, 10'000, &good);
+  transport.Close();
+  thread.join();
+
+  ASSERT_TRUE(got_bad.ok()) << got_bad.ToString();
+  EXPECT_EQ(bad.type, MsgType::kCandidateReply);
+  EXPECT_EQ(bad.status, StatusCode::kInvalidArgument);
+  EXPECT_FALSE(bad.error.empty());
+  EXPECT_EQ(bad.count, 0u);
+  EXPECT_EQ(bad.has_best, 0);
+  ASSERT_TRUE(got_good.ok()) << got_good.ToString();
+  EXPECT_EQ(good.type, MsgType::kCandidateReply);
+  EXPECT_EQ(good.status, StatusCode::kOk);
+}
+
+// ---------------------------------------------------------------------------
 // Fault matrix: dist.send_drop / dist.recv_timeout / dist.worker_stall
 // (live only in -DTFSN_FAULTS=ON builds; ctest label "faults")
 // ---------------------------------------------------------------------------

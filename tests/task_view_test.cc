@@ -342,26 +342,51 @@ TEST(GreedyViewEquivalenceTest, FormTopKIdentical) {
   }
 }
 
-TEST(GreedyViewEquivalenceTest, AutoFallsBackUnderBudgetAndStaysIdentical) {
-  Instance inst = MakeInstance(40, 100, 0.2, 8, 131);
-  auto oracle = MakeOracle(inst.graph, CompatKind::kNNE);
-  Rng index_rng(6);
-  SkillCompatibilityIndex index(oracle.get(), inst.skills, 0, &index_rng);
-  GreedyParams auto_params = PathParams(
-      SkillPolicy::kRarest, UserPolicy::kMinDistance, GreedyEvalPath::kAuto);
-  auto_params.view_max_bytes = 16;  // nothing fits: forces the oracle path
-  GreedyTeamFormer capped(oracle.get(), inst.skills, &index, auto_params);
-  GreedyTeamFormer reference(
-      oracle.get(), inst.skills, &index,
-      PathParams(SkillPolicy::kRarest, UserPolicy::kMinDistance,
-                 GreedyEvalPath::kOracle));
-  Rng task_rng(29);
-  for (int trial = 0; trial < 4; ++trial) {
-    Task task = RandomTask(inst.skills, 4, &task_rng);
-    Rng rng_a(4000 + trial), rng_b(4000 + trial);
-    ExpectSameResult(capped.Form(task, &rng_a), reference.Form(task, &rng_b),
-                     "auto-fallback");
+TEST(GreedyViewEquivalenceTest, DefaultFallsBackOnLargeGraphAndStaysIdentical) {
+  // At 2^15 - 1 nodes finite distances may overflow the view's uint16
+  // cells, so the view cannot be represented: the default path must fall
+  // back to the oracle and return the reference path's results. A sparse
+  // graph and a few dozen skill holders keep the rows cheap.
+  constexpr uint32_t kNodes = 32767;
+  Rng rng(171);
+  SignedGraph graph = RandomConnectedGnm(kNodes, 40000, 0.2, &rng);
+  std::vector<std::vector<SkillId>> user_skills(kNodes);
+  for (NodeId u = 0; u < kNodes; u += 397) {
+    const SkillId s = (u / 397) % 5;
+    user_skills[u].push_back(s);
+    if (u % 3 == 0) user_skills[u].push_back((s + 2) % 5);
   }
+  auto skills = SkillAssignment::Create(std::move(user_skills), 5);
+  ASSERT_TRUE(skills.ok());
+  auto oracle = MakeOracle(graph, CompatKind::kSPM);
+  const Task task({0, 1, 2});
+  EXPECT_EQ(TaskCompatView::BuildFromUniverse(
+                oracle.get(), *skills, task,
+                HolderUniverse(*skills, task.skills())),
+            nullptr);
+  int found = 0;
+  for (UserPolicy up : {UserPolicy::kMinDistance, UserPolicy::kMostCompatible,
+                        UserPolicy::kRandom}) {
+    GreedyParams by_default;  // eval_path left at its default
+    by_default.skill_policy = SkillPolicy::kRarest;
+    by_default.user_policy = up;
+    by_default.max_seeds = 6;
+    GreedyParams oracle_params = by_default;
+    oracle_params.eval_path = GreedyEvalPath::kOracle;
+    GreedyTeamFormer former(oracle.get(), *skills, nullptr, by_default);
+    GreedyTeamFormer reference(oracle.get(), *skills, nullptr, oracle_params);
+    Rng task_rng(43);
+    for (int trial = 0; trial < 3; ++trial) {
+      Task t = RandomTask(*skills, 3, &task_rng);
+      Rng rng_a(7000 + trial), rng_b(7000 + trial);
+      const TeamResult expected = reference.Form(t, &rng_b);
+      ExpectSameResult(former.Form(t, &rng_a), expected,
+                       std::string("large-graph fallback/") +
+                           UserPolicyName(up));
+      found += expected.found ? 1 : 0;
+    }
+  }
+  EXPECT_GT(found, 0);  // the comparison covered real teams
 }
 
 // ---------------------------------------------------------------------------
