@@ -1,4 +1,7 @@
-// Shared helpers for the table/figure reproduction binaries.
+// Shared helpers for the seven table/figure reproduction binaries
+// (Tables 1-3, Fig. 2a-d, the policy ablation, the extension experiments).
+// micro_compat does not use them, and speed is measured by the repository
+// benchmark (perfbench/README.md), not by these binaries.
 //
 // Every binary accepts:
 //   --datasets=slashdot,epinions,wikipedia   which datasets to run
@@ -6,7 +9,7 @@
 //   --seed=<n>           dataset + experiment seed
 //   --graph=<path>       use a real signed edge list instead (with
 //                        --num_skills=<n> Zipf skills)
-//   --csv                additionally emit CSV rows
+//   --csv                additionally emit CSV rows (Tables 1-3, Fig. 2)
 
 #pragma once
 
@@ -20,91 +23,6 @@
 #include "src/util/flags.h"
 
 namespace tfsn::bench {
-
-/// Minimal writer for the repo's BENCH_*.json trajectory files: a JSON
-/// array of flat objects, one object per measurement (see README, "Bench
-/// JSON output"). Usage:
-///   JsonArrayWriter json;
-///   json.BeginObject();
-///   json.Field("bench", "micro_compat");
-///   json.Field("rows_per_sec", 1234.5);
-///   json.EndObject();
-///   json.WriteFile(path);
-class JsonArrayWriter {
- public:
-  void BeginObject() {
-    out_ += first_object_ ? "\n  {" : ",\n  {";
-    first_object_ = false;
-    first_field_ = true;
-  }
-  void EndObject() { out_ += "}"; }
-
-  void Field(const std::string& key, const std::string& value) {
-    std::string quoted;
-    quoted += '"';
-    quoted += Escaped(value);
-    quoted += '"';
-    Raw(key, quoted);
-  }
-  void Field(const std::string& key, const char* value) {
-    Field(key, std::string(value));
-  }
-  void Field(const std::string& key, double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", value);
-    Raw(key, buf);
-  }
-  void Field(const std::string& key, uint64_t value) {
-    Raw(key, std::to_string(value));
-  }
-  void Field(const std::string& key, uint32_t value) {
-    Raw(key, std::to_string(value));
-  }
-  void Field(const std::string& key, int value) {
-    Raw(key, std::to_string(value));
-  }
-  void Field(const std::string& key, bool value) {
-    Raw(key, value ? "true" : "false");
-  }
-
-  std::string ToString() const { return "[" + out_ + "\n]\n"; }
-
-  /// Writes the array to `path`; reports and returns false on IO failure.
-  bool WriteFile(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write JSON to %s\n", path.c_str());
-      return false;
-    }
-    const std::string text = ToString();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-    return true;
-  }
-
- private:
-  void Raw(const std::string& key, const std::string& value) {
-    if (!first_field_) out_ += ", ";
-    first_field_ = false;
-    out_ += '"';
-    out_ += key;
-    out_ += "\": ";
-    out_ += value;
-  }
-  static std::string Escaped(const std::string& s) {
-    std::string out;
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    return out;
-  }
-
-  std::string out_;
-  bool first_object_ = true;
-  bool first_field_ = true;
-};
 
 /// Splits a comma-separated list.
 inline std::vector<std::string> SplitCsv(const std::string& s) {

@@ -11,10 +11,6 @@
 // over the first entry. --cache-mb (or --cache_mb) bounds the shared row
 // cache.
 //
-// --json=<path> writes a BENCH_*.json trajectory file: one object per
-// (dataset, relation) cell with wall clock and rows/sec, plus one per
-// thread-sweep entry (format: README, "Bench JSON output").
-//
 // Paper reference (Slashdot): comp.users 44.72 / 55.72 / 72.45 / 97.85 /
 // 99.38 / 99.64; avg distance 4.13 / 4.37 / 4.57 / 4.95 / 4.97 / 4.53.
 // Expected shape: monotone growth along the relaxation chain, SBP ≈ NNE,
@@ -56,29 +52,6 @@ int main(int argc, char** argv) {
   std::vector<uint32_t> thread_counts = tfsn::bench::ThreadSweepOf(flags);
   options.threads = thread_counts[0];
 
-  const std::string json_path = flags.GetString("json");
-  tfsn::bench::JsonArrayWriter json;
-  auto emit_cell = [&](const std::string& dataset, uint32_t n, uint64_t m,
-                       const tfsn::Table2Cell& c, uint32_t threads) {
-    if (json_path.empty()) return;
-    json.BeginObject();
-    json.Field("bench", "table2_compat");
-    json.Field("dataset", dataset);
-    json.Field("n", n);
-    json.Field("edges", m);
-    json.Field("kind", tfsn::CompatKindName(c.kind));
-    json.Field("threads", threads);
-    json.Field("sources", c.sources_used);
-    json.Field("seconds", c.seconds);
-    json.Field("rows_per_sec",
-               c.seconds > 0 ? c.sources_used / c.seconds : 0.0);
-    json.Field("comp_users_pct", c.comp_users_pct);
-    json.Field("comp_skills_pct", c.comp_skills_pct);
-    json.Field("avg_distance", c.avg_distance);
-    json.Field("rows_saturated", c.rows_saturated);
-    json.EndObject();
-  };
-
   tfsn::bench::PrintHeader("Table 2: Comparison of compatibility relations");
   for (const tfsn::Dataset& ds : datasets) {
     std::printf("\n--- %s (%u users, %llu edges) ---\n", ds.name.c_str(),
@@ -116,10 +89,6 @@ int main(int argc, char** argv) {
     std::fputs(table.ToString().c_str(), stdout);
     if (flags.GetBool("csv")) std::fputs(table.ToCsv().c_str(), stdout);
     for (const auto& c : cells) {
-      emit_cell(ds.name, ds.graph.num_nodes(), ds.graph.num_edges(), c,
-                thread_counts[0]);
-    }
-    for (const auto& c : cells) {
       std::printf("  %-4s: %u sources, %.2fs", tfsn::CompatKindName(c.kind),
                   c.sources_used, c.seconds);
       if (c.rows_saturated > 0) {
@@ -144,18 +113,13 @@ int main(int argc, char** argv) {
         tfsn::Table2Options sweep_options = options;
         sweep_options.threads = thread_counts[i];
         tfsn::Timer sweep_timer;
-        auto sweep_cells = tfsn::RunTable2(ds, sweep_options);
+        tfsn::RunTable2(ds, sweep_options);
         double seconds = sweep_timer.Seconds();
-        for (const auto& c : sweep_cells) {
-          emit_cell(ds.name, ds.graph.num_nodes(), ds.graph.num_edges(), c,
-                    thread_counts[i]);
-        }
         std::printf("    threads=%-3u %6.2fs   %.2fx\n", thread_counts[i],
                     seconds,
                     seconds > 0 ? baseline_seconds / seconds : 0.0);
       }
     }
   }
-  if (!json_path.empty() && !json.WriteFile(json_path)) return 1;
   return 0;
 }

@@ -58,7 +58,7 @@
 namespace tfsn::serve {
 
 /// Grouping knobs. max_batch = 1 degenerates to one-task-per-view — the
-/// unbatched baseline the throughput harness compares against.
+/// unbatched baseline, run as `tfsn_cli serve --batch-cap=1`.
 struct BatchPolicy {
   /// Requests per batch (>= 1).
   uint32_t max_batch = 16;

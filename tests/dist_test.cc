@@ -4,8 +4,8 @@
 // every SkillPolicy x UserPolicy x CompatKind at every shard count, with
 // identical rng stream consumption, or it fails with a typed Status (never
 // a different team). Fault-matrix rows for the three dist.* injection
-// points run only in -DTFSN_FAULTS=ON builds (ctest label "faults" via the
-// dist_fault_matrix registration); the transport hammer is the suite's
+// points compile only in -DTFSN_FAULTS=ON builds (ctest label "faults" via
+// the dist_fault_matrix registration); the transport hammer is the suite's
 // TSan target.
 
 #include "src/dist/distributed_former.h"
@@ -54,8 +54,7 @@ void ExpectSameResult(const TeamResult& a, const TeamResult& b,
   EXPECT_EQ(a.seeds_succeeded, b.seeds_succeeded) << what;
 }
 
-/// The identity the bench also checks: one FNV-1a digest over everything
-/// observable in a result.
+/// One FNV-1a digest over everything observable in a result.
 uint64_t ResultDigest(const TeamResult& r) {
   Fnv1a digest;
   digest.Mix(r.found ? 1 : 0);
@@ -511,44 +510,53 @@ TEST(DistCommTest, RepeatedRunsAreDeterministicIncludingTraffic) {
 }
 
 TEST(DistCommTest, PerStepControlTrafficIndependentOfUniverseSize) {
-  // The bench asserts this at scale; here the cheap version: quadrupling
-  // the graph must not move per-step control bytes more than noise (the
-  // data plane — row slices — is allowed to grow).
+  // Quadrupling the graph must not move per-step control bytes more than
+  // noise, for both plans at every shard count (the data plane — row
+  // slices — is allowed to grow).
   GreedyParams params =
       PolicyParams(SkillPolicy::kRarest, UserPolicy::kMinDistance);
-  double per_step_small = 0, per_step_large = 0;
-  uint64_t data_small = 0, data_large = 0;
-  for (const uint32_t n : {200u, 800u}) {
-    Instance inst = MakeInstance(n, n * 3, 0.2, 10, 161);
-    DistributedFormer dist(inst.graph, inst.skills, nullptr, params,
-                           Options(4, ShardStrategy::kHash, CompatKind::kSPM));
-    Rng task_rng(29);
-    FormCommStats acc;
-    uint64_t steps = 0, control = 0, data = 0;
-    for (int trial = 0; trial < 4; ++trial) {
-      Task task = RandomTask(inst.skills, 4, &task_rng);
-      Rng rng(6000 + trial);
-      FormCommStats comm;
-      const Result<TeamResult> got = dist.Form(task, &rng, &comm);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      steps += comm.steps;
-      control += comm.comm.control_bytes;
-      data += comm.comm.data_bytes;
-    }
-    ASSERT_GT(steps, 0u);
-    if (n == 200) {
-      per_step_small = double(control) / double(steps);
-      data_small = data;
-    } else {
-      per_step_large = double(control) / double(steps);
-      data_large = data;
+  for (const ShardStrategy strategy :
+       {ShardStrategy::kHash, ShardStrategy::kRange}) {
+    for (const uint32_t shards : {1u, 2u, 4u}) {
+      SCOPED_TRACE(std::string(ShardStrategyName(strategy)) + " S=" +
+                   std::to_string(shards));
+      double per_step_small = 0, per_step_large = 0;
+      uint64_t data_small = 0, data_large = 0;
+      for (const uint32_t n : {200u, 800u}) {
+        Instance inst = MakeInstance(n, n * 3, 0.2, 10, 161);
+        DistributedFormer dist(inst.graph, inst.skills, nullptr, params,
+                               Options(shards, strategy, CompatKind::kSPM));
+        Rng task_rng(29);
+        uint64_t steps = 0, control = 0, data = 0;
+        for (int trial = 0; trial < 4; ++trial) {
+          Task task = RandomTask(inst.skills, 4, &task_rng);
+          Rng rng(6000 + trial);
+          FormCommStats comm;
+          const Result<TeamResult> got = dist.Form(task, &rng, &comm);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          steps += comm.steps;
+          control += comm.comm.control_bytes;
+          data += comm.comm.data_bytes;
+        }
+        ASSERT_GT(steps, 0u);
+        if (n == 200) {
+          per_step_small = double(control) / double(steps);
+          data_small = data;
+        } else {
+          per_step_large = double(control) / double(steps);
+          data_large = data;
+        }
+      }
+      EXPECT_LT(per_step_large, per_step_small * 1.5)
+          << "coordinator traffic grew with n: " << per_step_small << " -> "
+          << per_step_large << " bytes/step";
+      // Sanity that the measurement isn't vacuous: the data plane does
+      // grow. A single shard has no peers, so no data plane at all.
+      if (shards > 1) {
+        EXPECT_GT(data_large, data_small);
+      }
     }
   }
-  EXPECT_LT(per_step_large, per_step_small * 1.5)
-      << "coordinator traffic grew with n: " << per_step_small << " -> "
-      << per_step_large << " bytes/step";
-  // Sanity that the measurement isn't vacuous: the data plane does grow.
-  EXPECT_GT(data_large, data_small);
 }
 
 // ---------------------------------------------------------------------------
@@ -670,17 +678,14 @@ TEST(ShardWorkerTest, StepSkillOutsideTheTaskGetsTypedErrorReply) {
 
 // ---------------------------------------------------------------------------
 // Fault matrix: dist.send_drop / dist.recv_timeout / dist.worker_stall
-// (live only in -DTFSN_FAULTS=ON builds; ctest label "faults")
+// (compiled only in -DTFSN_FAULTS=ON builds; ctest label "faults")
 // ---------------------------------------------------------------------------
+
+#if defined(TFSN_FAULTS)
 
 class DistFaultTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!kFaultsEnabled) {
-      GTEST_SKIP() << "built without -DTFSN_FAULTS=ON";
-    }
-    FaultRegistry::Instance().Reset();
-  }
+  void SetUp() override { FaultRegistry::Instance().Reset(); }
   void TearDown() override { FaultRegistry::Instance().Reset(); }
 };
 
@@ -745,6 +750,8 @@ TEST_F(DistFaultTest, EveryFaultDegradesToTypedErrorOrIdenticalTeam) {
               total.messages_delivered + dist.pending_messages());
   }
 }
+
+#endif  // defined(TFSN_FAULTS)
 
 }  // namespace
 }  // namespace tfsn
