@@ -322,9 +322,6 @@ int CmdServe(const Flags& flags) {
   options.greedy.max_seeds =
       static_cast<uint32_t>(flags.GetInt("max_seeds", 16));
   options.greedy.skill_policy = SkillPolicy::kLeastCompatible;
-  // The global --threads knob parallelizes row production inside each
-  // batch's StreamRows prewarm (0 = hardware concurrency / TFSN_THREADS).
-  options.view_build_threads = threads;
 
   // Overload-control knobs. --shed picks how far enforcement goes;
   // --deadline-ms stamps the SLO budget onto every generated request.

@@ -42,13 +42,11 @@ uint64_t MakeKeyBase(const SignedGraph* g, CompatKind kind, RowKernelFn kernel,
   return h.KeyBase();
 }
 
-std::shared_ptr<RowCache> PrivateCache(const OracleParams& params) {
+std::shared_ptr<RowCache> PrivateCache() {
   RowCacheOptions options;
-  options.max_rows = params.max_cached_rows;
-  options.max_bytes = params.cache_bytes;
+  options.max_rows = 2048;
+  options.max_bytes = 0;
   options.shards = 1;  // exact row-count semantics, no striping overhead
-  options.compress = params.compress;
-  options.spill = params.spill;
   return std::make_shared<RowCache>(options);
 }
 
@@ -65,19 +63,18 @@ CompatibilityOracle::CompatibilityOracle(const SignedGraph& g, CompatKind kind,
                                          OracleParams params,
                                          std::shared_ptr<RowCache> cache)
     : CompatibilityOracle(g, kind, KernelForKind(kind), KernelParamsOf(params),
-                          params, std::move(cache)) {}
+                          std::move(cache)) {}
 
 CompatibilityOracle::CompatibilityOracle(const SignedGraph& g,
                                          CompatKind display_kind,
                                          RowKernelFn kernel,
                                          RowKernelParams kernel_params,
-                                         OracleParams params,
                                          std::shared_ptr<RowCache> cache)
     : graph_(&g),
       kind_(display_kind),
       kernel_(kernel),
       kernel_params_(kernel_params),
-      cache_(cache != nullptr ? std::move(cache) : PrivateCache(params)),
+      cache_(cache != nullptr ? std::move(cache) : PrivateCache()),
       key_base_(MakeKeyBase(&g, display_kind, kernel, kernel_params_)) {
   TFSN_CHECK(kernel_ != nullptr);
 }

@@ -35,20 +35,9 @@
 
 namespace tfsn {
 
-/// Tuning knobs for an oracle and its (private) cache.
+/// Relation parameters of an oracle. (A caller that needs a configured
+/// cache passes its own RowCache.)
 struct OracleParams {
-  /// Row-count cap for the oracle's private cache (LRU eviction). Ignored
-  /// when a shared RowCache is supplied. A row costs ~5 bytes per node.
-  size_t max_cached_rows = 2048;
-  /// Optional byte budget for the private cache (0 = row cap only).
-  size_t cache_bytes = 0;
-  /// Tier 0 compression for the private cache (see RowCacheOptions).
-  /// Representation only — rows decode bit-identically, and the cache key
-  /// fingerprint does not include it, so compressed and flat caches over
-  /// the same configuration agree on every key.
-  bool compress = false;
-  /// Tier 1 spill store for the private cache (see RowCacheOptions).
-  std::shared_ptr<RowSpillStore> spill;
   /// Exact-SBP engine tuning (kSBP only).
   SbpExactParams sbp;
   /// Depth bound for the SBPH search (kSBPH only).
@@ -69,8 +58,9 @@ class CompatibilityOracle {
   using Row = CompatRow;
 
   /// Oracle for `kind` over `g`, optionally sharing `cache` with other
-  /// oracles (pass nullptr for a private cache sized by `params`). The
-  /// graph and the shared cache must outlive the oracle. Oracles sharing a
+  /// oracles (pass nullptr for a private, flat LRU cache of 2048 rows; a
+  /// row costs ~5 bytes per node). The graph and the shared cache must
+  /// outlive the oracle. Oracles sharing a
   /// cache key their rows by (graph, relation, params), so mixed sharing
   /// is safe — but do NOT reuse one cache across graph *lifetimes*: the
   /// fingerprint identifies a graph by address, so a new graph allocated
@@ -86,7 +76,6 @@ class CompatibilityOracle {
   /// `kernel` with `kernel_params`; `display_kind` is what kind() reports.
   CompatibilityOracle(const SignedGraph& g, CompatKind display_kind,
                       RowKernelFn kernel, RowKernelParams kernel_params,
-                      OracleParams params = {},
                       std::shared_ptr<RowCache> cache = nullptr);
 
   CompatKind kind() const { return kind_; }
@@ -116,8 +105,9 @@ class CompatibilityOracle {
   /// Cache-resident probe: the row if it sits in the cache's memory tier,
   /// nullptr otherwise — never computes a row and never touches the spill
   /// tier, so the cost is bounded by one decode. Unlike GetRow this does
-  /// not pin and is safe from any thread; the degraded serving tier
-  /// (TaskCompatView::BuildFromCachedRows) is built on it.
+  /// not pin and is safe from any thread; it is the row source of the
+  /// cache-only serving tier (TaskCompatView::BuildFromCachedRows), which
+  /// calls it once per row the seed loop touches.
   std::shared_ptr<const Row> PeekRow(NodeId q) const {
     return cache_->Peek(KeyFor(q));
   }

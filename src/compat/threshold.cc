@@ -30,7 +30,7 @@ std::unique_ptr<CompatibilityOracle> MakeThresholdOracle(const SignedGraph& g,
   kernel_params.sbph_max_depth = params.sbph_max_depth;
   kernel_params.threshold_theta = clamped;
   return std::make_unique<CompatibilityOracle>(
-      g, display, &ComputeThresholdRow, kernel_params, params, nullptr);
+      g, display, &ComputeThresholdRow, kernel_params, nullptr);
 }
 
 }  // namespace tfsn

@@ -32,7 +32,6 @@ DistributedFormer::DistributedFormer(const SignedGraph& graph,
   }
   transport_ = std::make_unique<InProcessTransport>(options_.num_shards);
   ShardWorkerOptions wopts;
-  wopts.prewarm_threads = options_.prewarm_threads;
   wopts.recv_timeout_ms = options_.recv_timeout_ms;
   all_shards_.reserve(options_.num_shards);
   for (uint32_t t = 0; t < options_.num_shards; ++t) {

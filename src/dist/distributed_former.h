@@ -49,8 +49,6 @@ struct DistOptions {
   /// Per-worker oracle factory; every worker must get an equivalently
   /// configured oracle (see OracleFactoryFor for the common case).
   OracleFactory oracle_factory;
-  /// Threads each worker uses for its kFormBegin row prewarm.
-  uint32_t prewarm_threads = 1;
   /// Bound on every coordinator gather and worker slice wait (ms). Under
   /// fault injection this is how long a lost message takes to surface as
   /// a typed DeadlineExceeded.

@@ -169,9 +169,9 @@ void ShardWorker::HandleFormBegin(const Message& msg) {
   for (uint32_t i = 0; i < mine.size(); ++i) local_index_[mine[i]] = i;
 
   // Prewarm the owned slice of the row working set through the batch row
-  // engine; bounded pinning, misses computed in parallel.
+  // engine; bounded pinning.
   if (!mine.empty()) {
-    oracle_->StreamRows(mine, std::max<uint32_t>(1, options_.prewarm_threads),
+    oracle_->StreamRows(mine, 1,
                         [](size_t, const CompatibilityOracle::Row&) {});
   }
 }

@@ -44,8 +44,6 @@ using OracleFactory =
 
 /// Per-worker tuning.
 struct ShardWorkerOptions {
-  /// Threads for the kFormBegin prewarm of the owned universe rows.
-  uint32_t prewarm_threads = 1;
   /// Bounded wait for a remote team member's row slice (milliseconds).
   int64_t recv_timeout_ms = 10'000;
 };

@@ -99,9 +99,8 @@ bool BatchScheduler::NextBatch(AdmissionQueue<ScheduledRequest>* queue,
     // interleave each other's items, so the pending window is
     // arrival-ordered per drain, not globally; results never depend on
     // order — only which requests share a view build.)
-    size_t room = pending_.size() < policy_.scan_window
-                      ? policy_.scan_window - pending_.size()
-                      : 0;
+    size_t room =
+        pending_.size() < kScanWindow ? kScanWindow - pending_.size() : 0;
     if (room > 0) {
       lock.Unlock();
       std::vector<ScheduledRequest> drained;

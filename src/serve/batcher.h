@@ -13,8 +13,8 @@
 // earliest deadline seeds the batch (earliest-deadline-first; admission
 // sequence breaks ties, so deadline-free traffic — whose deadline is
 // +infinity — keeps the FIFO anchor that bounds starvation: every request
-// is served no later than scan_window batch decisions after reaching the
-// pending window), then later arrivals join while
+// is served no later than kScanWindow (64) batch decisions after reaching
+// the pending window), then later arrivals join while
 //   * the Jaccard similarity |A ∩ U| / |A ∪ U| between their holder
 //     universe A and the batch's accumulated union U stays above
 //     min_jaccard (duplicates and subsets always pass),
@@ -68,8 +68,6 @@ struct BatchPolicy {
   /// Cap on the estimated union-view footprint
   /// (TaskCompatView::EstimateBytes).
   size_t max_view_bytes = 64ull << 20;
-  /// How many queued requests the scheduler holds pending for grouping.
-  uint32_t scan_window = 64;
 };
 
 /// One scheduled group plus the precomputed union footprint the worker
@@ -115,6 +113,9 @@ class BatchScheduler {
   const BatchPolicy& policy() const { return policy_; }
 
  private:
+  /// How many queued requests the scheduler holds pending for grouping.
+  static constexpr size_t kScanWindow = 64;
+
   /// A pending request with its precomputed footprint.
   struct Pending {
     ScheduledRequest item;

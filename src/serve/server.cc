@@ -32,6 +32,24 @@ void UpdateEwma(std::atomic<uint64_t>* ewma, uint64_t sample) {
 
 }  // namespace
 
+void ServerMetrics::Merge(const ServerMetrics& other) {
+  completed += other.completed;
+  batches += other.batches;
+  shared_view_batches += other.shared_view_batches;
+  fallback_batches += other.fallback_batches;
+  shed += other.shed;
+  degraded += other.degraded;
+  queue_us.Merge(other.queue_us);
+  service_us.Merge(other.service_us);
+  total_us.Merge(other.total_us);
+  if (batch_size_counts.size() < other.batch_size_counts.size()) {
+    batch_size_counts.resize(other.batch_size_counts.size(), 0);
+  }
+  for (size_t b = 0; b < other.batch_size_counts.size(); ++b) {
+    batch_size_counts[b] += other.batch_size_counts[b];
+  }
+}
+
 TeamFormationServer::TeamFormationServer(const SignedGraph& graph,
                                          const SkillAssignment& skills,
                                          const SkillCompatibilityIndex* index,
@@ -57,9 +75,10 @@ TeamFormationServer::TeamFormationServer(const SignedGraph& graph,
         worker->oracle.get(), skills_, index, options_.greedy);
     {
       // The worker thread does not exist yet; the lock is for the
-      // analysis (batch_size_counts is guarded by worker->mu).
+      // analysis (the metrics block is guarded by worker->mu).
       MutexLock lock(&worker->mu);
-      worker->batch_size_counts.assign(options_.batch.max_batch + 1, 0);
+      worker->metrics.batch_size_counts.assign(options_.batch.max_batch + 1,
+                                               0);
     }
     workers_.push_back(std::move(worker));
   }
@@ -153,15 +172,14 @@ bool TeamFormationServer::Funds(const ScheduledRequest& sr,
                                 std::chrono::steady_clock::time_point now,
                                 uint64_t estimate_us) const {
   if (sr.deadline <= now) return false;
-  return MicrosBetween(now, sr.deadline) >=
-         estimate_us + options_.deadline.slack_us;
+  return MicrosBetween(now, sr.deadline) >= estimate_us;
 }
 
 void TeamFormationServer::Shed(Worker* worker, ScheduledRequest* sr,
                                const char* why) {
   {
     MutexLock lock(&worker->mu);
-    ++worker->shed;
+    ++worker->metrics.shed;
   }
   FulfillError(sr, Status::DeadlineExceeded(why));
 }
@@ -173,24 +191,24 @@ void TeamFormationServer::ServeDegraded(Worker* worker, ScheduledRequest* sr,
   // cannot fund a typical degraded serve, answering would just be late —
   // shed with the typed response instead so the accepted tail stays
   // inside the SLO.
-  bool complete = false;
   std::unique_ptr<TaskCompatView> view;
   if (Funds(*sr, service_start, DegradedEstimateUs())) {
     view = TaskCompatView::BuildFromCachedRows(
         worker->oracle.get(), skills_, sr->request.task,
         HolderUniverse(skills_, sr->request.task.skills()),
-        options_.batch.max_view_bytes, &complete);
+        options_.batch.max_view_bytes);
   }
   TeamResult result;
   if (view != nullptr) {
     Rng rng(sr->request.rng_seed);
     result = worker->former->FormWithView(*view, sr->request.task, &rng);
   }
-  // A complete cache-only view is bit-identical to the full build, so even
-  // a "no team exists" verdict is the exact answer. An incomplete view
-  // only counts when it actually found a team — a miss may just mean the
-  // missing rows held the answer.
-  if (view == nullptr || !(complete || result.found)) {
+  // When every row the seed loop read was cached, the run saw exactly
+  // what the full view would have shown it, so even a "no team exists"
+  // verdict is the exact answer. Otherwise the answer only counts when it
+  // found a team — a miss may just mean the missing rows held the answer.
+  const bool exact = view != nullptr && !view->missed_rows();
+  if (view == nullptr || !(exact || result.found)) {
     Shed(worker, sr, "deadline cannot be met by any tier");
     return;
   }
@@ -198,7 +216,7 @@ void TeamFormationServer::ServeDegraded(Worker* worker, ScheduledRequest* sr,
   resp.id = sr->request.id;
   resp.batch_size = batch_size;
   resp.result = std::move(result);
-  resp.degraded = !complete;
+  resp.degraded = !exact;
   const auto done = std::chrono::steady_clock::now();
   resp.queue_us = MicrosBetween(sr->admitted, service_start);
   resp.service_us = MicrosBetween(service_start, done);
@@ -212,11 +230,11 @@ void TeamFormationServer::FinishServed(Worker* worker, ScheduledRequest* sr,
                                        TeamResponse resp) {
   {
     MutexLock lock(&worker->mu);
-    ++worker->completed;
-    if (resp.degraded) ++worker->degraded;
-    worker->queue_us.Record(resp.queue_us);
-    worker->service_us.Record(resp.service_us);
-    worker->total_us.Record(resp.total_us);
+    ++worker->metrics.completed;
+    if (resp.degraded) ++worker->metrics.degraded;
+    worker->metrics.queue_us.Record(resp.queue_us);
+    worker->metrics.service_us.Record(resp.service_us);
+    worker->metrics.total_us.Record(resp.total_us);
   }
   {
     // Feed the admission-control estimate with the realized queue wait.
@@ -253,7 +271,7 @@ void TeamFormationServer::WorkerLoop(Worker* worker) {
         Shed(worker, &sr, "deadline expired before service");
         continue;
       }
-      if (options_.deadline.degrade && !Funds(sr, now, est_full)) {
+      if (!Funds(sr, now, est_full)) {
         ServeDegraded(worker, &sr, batch_size);
         continue;
       }
@@ -269,7 +287,7 @@ void TeamFormationServer::WorkerLoop(Worker* worker) {
       const auto build_start = std::chrono::steady_clock::now();
       view = TaskCompatView::BuildFromUniverse(
           worker->oracle.get(), skills_, batch.union_task,
-          std::move(batch.universe), options_.view_build_threads,
+          std::move(batch.universe), /*threads=*/1,
           options_.batch.max_view_bytes);
       if (view != nullptr) {
         UpdateEwma(&build_ewma_us_,
@@ -296,8 +314,7 @@ void TeamFormationServer::WorkerLoop(Worker* worker) {
           Shed(worker, sr, "deadline expired during the view build");
           continue;
         }
-        if (options_.deadline.degrade &&
-            !Funds(*sr, service_start, ServiceEstimateUs())) {
+        if (!Funds(*sr, service_start, ServiceEstimateUs())) {
           ServeDegraded(worker, sr, batch_size);
           continue;
         }
@@ -320,35 +337,20 @@ void TeamFormationServer::WorkerLoop(Worker* worker) {
     }
     {
       MutexLock lock(&worker->mu);
-      ++worker->batches;
-      if (view != nullptr) {
-        ++worker->shared_view_batches;
-      } else {
-        ++worker->fallback_batches;
-      }
-      ++worker->batch_size_counts[std::min<size_t>(
-          batch_size, worker->batch_size_counts.size() - 1)];
+      ServerMetrics& m = worker->metrics;
+      ++m.batches;
+      ++(view != nullptr ? m.shared_view_batches : m.fallback_batches);
+      ++m.batch_size_counts[std::min<size_t>(
+          batch_size, m.batch_size_counts.size() - 1)];
     }
   }
 }
 
 ServerMetrics TeamFormationServer::Metrics() const {
   ServerMetrics m;
-  m.batch_size_counts.assign(options_.batch.max_batch + 1, 0);
   for (const auto& worker : workers_) {
     MutexLock lock(&worker->mu);
-    m.completed += worker->completed;
-    m.batches += worker->batches;
-    m.shared_view_batches += worker->shared_view_batches;
-    m.fallback_batches += worker->fallback_batches;
-    m.shed += worker->shed;
-    m.degraded += worker->degraded;
-    m.queue_us.Merge(worker->queue_us);
-    m.service_us.Merge(worker->service_us);
-    m.total_us.Merge(worker->total_us);
-    for (size_t b = 0; b < worker->batch_size_counts.size(); ++b) {
-      m.batch_size_counts[b] += worker->batch_size_counts[b];
-    }
+    m.Merge(worker->metrics);
   }
   m.shed += scheduler_.shed_count();
   m.cache = cache_->SnapshotCounters();

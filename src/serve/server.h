@@ -14,7 +14,8 @@
 //        worker pool — per batch, each worker:
 //          1. sheds/degrades deadline-pressed members (see below),
 //          2. builds ONE TaskCompatView for the batch's union task
-//             (one StreamRows prewarm of the union holder universe),
+//             (one single-threaded StreamRows prewarm of the union
+//             holder universe),
 //          3. runs GreedyTeamFormer::FormWithView per member request,
 //          4. fulfills the promises and records latency.
 //
@@ -34,18 +35,22 @@
 // view build degrades instead of missing its deadline:
 //
 //   shared dense view  →  cache-only view  →  reject
-//        (exact)        (degraded unless    (DeadlineExceeded)
-//                        every row cached)
+//        (exact)        (exact when every   (DeadlineExceeded)
+//                        row the seed loop
+//                        read was cached;
+//                        degraded otherwise)
 //
-// Degraded responses carry TeamResponse::degraded = true and are the only
-// ones that may differ from the exact answer; they are sound (every
-// member pair confirmed by a real cached row) but excluded from replay
-// digests.
+// The cache-only view reads rows through PeekRow on first touch and
+// never computes one (TaskCompatView::BuildFromCachedRows); the worker
+// reads its missed_rows() flag after FormWithView. Degraded responses
+// carry TeamResponse::degraded = true and are the only ones that may
+// differ from the exact answer; they are sound (every member pair
+// confirmed by a real cached row) but excluded from replay digests.
 //
 // Each worker owns its own CompatibilityOracle over the one shared
 // RowCache (the oracle's scalar row pinning is not thread-safe; the cache
-// is), its own GreedyTeamFormer, and a private metrics block merged on
-// demand by Metrics(). Latency is tracked per request with
+// is), its own GreedyTeamFormer, and a private ServerMetrics block merged
+// on demand by Metrics(). Latency is tracked per request with
 // util/latency_histogram; cache hit rate comes from lock-free
 // RowCache::StatsSnapshot deltas. The shared cache may be tiered
 // (compressed rows, disk spill — see row_cache.h) and prewarmed before
@@ -91,11 +96,10 @@ struct ServerOptions {
   /// deadline are ever affected, whatever the mode.
   DeadlinePolicy deadline;
   /// Greedy configuration every worker's former runs with. seed_threads
-  /// is forced to 1 — the worker pool is the parallelism; nested seed
-  /// threads would oversubscribe (results are identical either way).
+  /// is forced to 1, and views are built on one thread — the worker pool
+  /// is the parallelism; nested threads would oversubscribe (results are
+  /// identical either way).
   GreedyParams greedy;
-  /// Workers for the per-batch StreamRows prewarm inside the view build.
-  uint32_t view_build_threads = 1;
 };
 
 /// Point-in-time roll-up across workers. Histograms record microseconds
@@ -112,7 +116,8 @@ struct ServerMetrics {
   /// Requests fulfilled with DeadlineExceeded (expired in queue or at the
   /// worker, or unfundable by any tier).
   uint64_t shed = 0;
-  /// Requests served from an incomplete cache-only view (degraded=true).
+  /// Requests served from a cache-only view that read a missing row
+  /// (degraded=true).
   uint64_t degraded = 0;
   LatencyHistogram queue_us;
   LatencyHistogram service_us;
@@ -129,6 +134,10 @@ struct ServerMetrics {
                         : static_cast<double>(completed) /
                               static_cast<double>(batches);
   }
+
+  /// Adds `other`'s tallies, histograms and batch-size counts into this
+  /// block (`cache` is a snapshot, not a tally, and is left as it is).
+  void Merge(const ServerMetrics& other);
 };
 
 class TeamFormationServer {
@@ -182,16 +191,7 @@ class TeamFormationServer {
     std::unique_ptr<GreedyTeamFormer> former;
     std::thread thread;
     mutable Mutex mu;
-    uint64_t completed TFSN_GUARDED_BY(mu) = 0;
-    uint64_t batches TFSN_GUARDED_BY(mu) = 0;
-    uint64_t shared_view_batches TFSN_GUARDED_BY(mu) = 0;
-    uint64_t fallback_batches TFSN_GUARDED_BY(mu) = 0;
-    uint64_t shed TFSN_GUARDED_BY(mu) = 0;
-    uint64_t degraded TFSN_GUARDED_BY(mu) = 0;
-    LatencyHistogram queue_us TFSN_GUARDED_BY(mu);
-    LatencyHistogram service_us TFSN_GUARDED_BY(mu);
-    LatencyHistogram total_us TFSN_GUARDED_BY(mu);
-    std::vector<uint64_t> batch_size_counts TFSN_GUARDED_BY(mu);
+    ServerMetrics metrics TFSN_GUARDED_BY(mu);
   };
 
   void WorkerLoop(Worker* worker);
@@ -200,8 +200,7 @@ class TeamFormationServer {
   void ServeDegraded(Worker* worker, ScheduledRequest* sr,
                      uint32_t batch_size);
   /// The one deadline gate of the worker: true when `sr`'s deadline has
-  /// not passed at `now` and the remaining budget covers `estimate_us`
-  /// plus DeadlinePolicy::slack_us.
+  /// not passed at `now` and the remaining budget covers `estimate_us`.
   bool Funds(const ScheduledRequest& sr,
              std::chrono::steady_clock::time_point now,
              uint64_t estimate_us) const;

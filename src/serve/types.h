@@ -10,9 +10,9 @@
 // composition, worker count, or queue depth (see
 // GreedyTeamFormer::FormWithView). Replaying a request stream with the
 // same seeds therefore reproduces every team bit for bit. Responses
-// flagged `degraded` are the one exception: they were served from an
-// incomplete cache-only view under deadline pressure (see server.h) and
-// are excluded from replay digests.
+// flagged `degraded` are the one exception: they were served from a
+// cache-only view that read a row missing from the cache, under deadline
+// pressure (see server.h), and are excluded from replay digests.
 //
 // Deadline semantics: deadline_us is a relative SLO budget measured from
 // admission. What the server does with it is governed by ShedMode — from
@@ -53,9 +53,6 @@ enum class ShedMode : uint8_t {
 /// Deadline/overload policy of a server (ServerOptions::deadline).
 struct DeadlinePolicy {
   ShedMode shed = ShedMode::kQueue;
-  /// Allow the degradation ladder's cache-only view tier under kQueue;
-  /// off means a request either gets the full path or is shed.
-  bool degrade = true;
   /// Test overrides for the live estimators (0 = use the measured
   /// values): assumed queue wait, shared-view build cost, and per-request
   /// service cost, in µs. With these set, admission and degradation
@@ -63,15 +60,6 @@ struct DeadlinePolicy {
   uint64_t assume_queue_us = 0;
   uint64_t assume_build_us = 0;
   uint64_t assume_service_us = 0;
-  /// SLO headroom, in µs: every serving gate requires the remaining
-  /// budget to cover its cost estimate *plus* this slack before it
-  /// commits to answering. Estimates are EWMAs, so a request served with
-  /// zero headroom finishes past its deadline whenever the actual cost
-  /// lands above the estimate — which on an EDF-ordered queue is exactly
-  /// the just-in-time tail. Slack trades a little goodput at the boundary
-  /// for an accepted-latency distribution that actually sits inside the
-  /// budget.
-  uint64_t slack_us = 0;
 };
 
 struct TeamRequest {
@@ -93,10 +81,11 @@ struct TeamResponse {
   /// down before serving it.
   Status status;
   TeamResult result;
-  /// True when the team came from an incomplete cache-only view: valid —
-  /// every member pair was confirmed compatible — but not necessarily the
-  /// team the exact path would have formed. Exact responses (the full
-  /// path, or a *complete* cache-only view) never set this.
+  /// True when the team came from a cache-only view that read a row
+  /// missing from the cache: valid — every member pair was confirmed
+  /// compatible — but not necessarily the team the exact path would have
+  /// formed. Exact responses (the full path, or a cache-only view whose
+  /// every read row was cached) never set this.
   bool degraded = false;
   /// Requests that shared this request's batch (1 = served alone).
   uint32_t batch_size = 0;

@@ -69,10 +69,14 @@ size_t TaskCompatView::bytes() const {
          holder_counts_.capacity() * sizeof(uint32_t);
 }
 
-void TaskCompatView::GatherCompBits(const CompatibilityOracle::Row& row,
+void TaskCompatView::GatherCompBits(const CompatibilityOracle::Row* row,
                                     uint32_t local) const {
   uint64_t* bits = dir_bits_.get() + static_cast<size_t>(local) * words_;
-  const uint8_t* comp_src = row.comp.data();
+  if (row == nullptr) {
+    std::fill(bits, bits + words_, uint64_t{0});
+    return;
+  }
+  const uint8_t* comp_src = row->comp.data();
   const NodeId* uni = universe_.data();
   const size_t m = m_;
   for (size_t w = 0; w < words_; ++w) {
@@ -85,10 +89,14 @@ void TaskCompatView::GatherCompBits(const CompatibilityOracle::Row& row,
   }
 }
 
-void TaskCompatView::GatherDistances(const CompatibilityOracle::Row& row,
+void TaskCompatView::GatherDistances(const CompatibilityOracle::Row* row,
                                      uint32_t local) const {
   uint16_t* dist = dist_.get() + static_cast<size_t>(local) * m_;
-  const uint32_t* dist_src = row.dist.data();
+  if (row == nullptr) {
+    std::fill(dist, dist + m_, kDenseUnreachable);
+    return;
+  }
+  const uint32_t* dist_src = row->dist.data();
   const NodeId* uni = universe_.data();
   for (size_t j = 0; j < m_; ++j) {
     // kUnreachable saturates to the sentinel; finite distances fit by the
@@ -98,21 +106,32 @@ void TaskCompatView::GatherDistances(const CompatibilityOracle::Row& row,
   }
 }
 
-void TaskCompatView::MaterializeDirRow(uint32_t local) const {
+void TaskCompatView::Materialize(uint32_t local, bool dist) const {
   MutexLock lock(&row_locks_[local % kLockStripes]);
-  if (dir_ready_[local].load(std::memory_order_relaxed)) return;
-  // Almost always a cache hit: Build() batch-prewarmed the universe. An
-  // evicted row is recomputed by the kernel — pricier, but the values are
-  // identical.
-  GatherCompBits(*oracle_->GetRowShared(universe_[local]), local);
-  dir_ready_[local].store(1, std::memory_order_release);
-}
-
-void TaskCompatView::MaterializeDistRow(uint32_t local) const {
-  MutexLock lock(&row_locks_[local % kLockStripes]);
-  if (dist_ready_[local].load(std::memory_order_relaxed)) return;
-  GatherDistances(*oracle_->GetRowShared(universe_[local]), local);
-  dist_ready_[local].store(1, std::memory_order_release);
+  // The cache-only tier fills both halves from one peek, since a second
+  // peek would decode the row again. The full tier fills only the half
+  // asked for: kMostCompatible reads many candidates' comp bits but never
+  // their distances.
+  const bool fill_dir = (!dist || cache_only_) &&
+                        !dir_ready_[local].load(std::memory_order_relaxed);
+  const bool fill_dist = (dist || cache_only_) &&
+                         !dist_ready_[local].load(std::memory_order_relaxed);
+  if (!fill_dir && !fill_dist) return;
+  // On the full tier almost always a cache hit: the build prewarmed the
+  // universe. An evicted row is recomputed by the kernel — pricier, but
+  // the values are identical.
+  const NodeId q = universe_[local];
+  const std::shared_ptr<const CompatibilityOracle::Row> row =
+      cache_only_ ? oracle_->PeekRow(q) : oracle_->GetRowShared(q);
+  if (row == nullptr) missed_rows_.store(true, std::memory_order_relaxed);
+  if (fill_dir) {
+    GatherCompBits(row.get(), local);
+    dir_ready_[local].store(1, std::memory_order_release);
+  }
+  if (fill_dist) {
+    GatherDistances(row.get(), local);
+    dist_ready_[local].store(1, std::memory_order_release);
+  }
 }
 
 bool TaskCompatView::Fits(const CompatibilityOracle& oracle, size_t m,
@@ -179,95 +198,73 @@ void TaskCompatView::Finish(const SkillAssignment& skills) {
   }
 }
 
+std::unique_ptr<TaskCompatView> TaskCompatView::BuildWith(
+    CompatibilityOracle* oracle, const SkillAssignment& skills,
+    const Task& task, std::vector<NodeId> universe, uint32_t threads,
+    size_t max_bytes, bool cache_only) {
+  TFSN_CHECK(oracle != nullptr);
+  if (!Fits(*oracle, universe.size(), task.skills().size(), max_bytes)) {
+    return nullptr;
+  }
+  // Injected allocation/build failure: callers already treat nullptr as
+  // "use the oracle directly" (or, on the cache-only tier, "no cheaper
+  // tier"), so answers never change.
+  if (TFSN_FAULT_POINT("task_view.build_fail")) return nullptr;
+
+  std::unique_ptr<TaskCompatView> view =
+      Allocate(oracle, task, std::move(universe));
+  view->cache_only_ = cache_only;
+  const bool sbph = view->kind_ == CompatKind::kSBPH;
+  for (size_t i = 0; i < view->m_; ++i) {
+    view->dir_ready_[i].store(0, std::memory_order_relaxed);
+    view->dist_ready_[i].store(0, std::memory_order_relaxed);
+  }
+  // SBPH pair semantics are the symmetric closure of the direction-
+  // dependent heuristic rows (see CompatibilityOracle::Compatible), which
+  // needs the transpose — so every dir row is filled here, through the
+  // view's row source, for Finish() to close.
+  if (!cache_only) {
+    // Batched cache prewarm: each chunk's misses are computed in parallel
+    // — 64-way bit-parallel where the relation allows — and published to
+    // the shared row cache, then the chunk's pins are dropped before the
+    // next so peak memory stays at one batch of full-length rows. Other
+    // relations' dense rows materialize on first touch from these rows.
+    oracle->StreamRows(view->universe_, threads,
+                       [&](size_t i, const CompatibilityOracle::Row& row) {
+                         if (!sbph) return;
+                         view->GatherCompBits(&row, static_cast<uint32_t>(i));
+                         view->dir_ready_[i].store(1,
+                                                   std::memory_order_relaxed);
+                       });
+  } else if (sbph) {
+    for (uint32_t i = 0; i < view->m_; ++i) {
+      view->Materialize(i, /*dist=*/false);
+    }
+  }
+  view->Finish(skills);
+  return view;
+}
+
 std::unique_ptr<TaskCompatView> TaskCompatView::Build(
     CompatibilityOracle* oracle, const SkillAssignment& skills,
     const Task& task, uint32_t threads, size_t max_bytes) {
-  return BuildFromUniverse(oracle, skills, task,
-                           HolderUniverse(skills, task.skills()), threads,
-                           max_bytes);
+  return BuildWith(oracle, skills, task, HolderUniverse(skills, task.skills()),
+                   threads, max_bytes, /*cache_only=*/false);
 }
 
 std::unique_ptr<TaskCompatView> TaskCompatView::BuildFromUniverse(
     CompatibilityOracle* oracle, const SkillAssignment& skills,
     const Task& task, std::vector<NodeId> universe, uint32_t threads,
     size_t max_bytes) {
-  TFSN_CHECK(oracle != nullptr);
-  if (!Fits(*oracle, universe.size(), task.skills().size(), max_bytes)) {
-    return nullptr;
-  }
-  // Injected allocation/build failure: callers already treat nullptr as
-  // "use the oracle directly", which is bit-identical.
-  if (TFSN_FAULT_POINT("task_view.build_fail")) return nullptr;
-
-  std::unique_ptr<TaskCompatView> view =
-      Allocate(oracle, task, std::move(universe));
-  const bool sbph = view->kind_ == CompatKind::kSBPH;
-  for (size_t i = 0; i < view->m_; ++i) {
-    view->dir_ready_[i].store(sbph ? 1 : 0, std::memory_order_relaxed);
-    view->dist_ready_[i].store(0, std::memory_order_relaxed);
-  }
-  if (!sbph) {
-    // Batched cache prewarm: each chunk's misses are computed in parallel
-    // — 64-way bit-parallel where the relation allows — and published to
-    // the shared row cache, then the chunk's pins are dropped before the
-    // next so peak memory stays at one batch of full-length rows. The
-    // dense rows themselves materialize lazily from these cached rows.
-    oracle->StreamRows(view->universe_, threads,
-                       [](size_t, const CompatibilityOracle::Row&) {});
-  } else {
-    // SBPH pair semantics are the symmetric closure of the direction-
-    // dependent heuristic rows (see CompatibilityOracle::Compatible),
-    // which needs the transpose — so every dir row is filled eagerly for
-    // Finish() to close.
-    oracle->StreamRows(view->universe_, threads,
-                       [&](size_t i, const CompatibilityOracle::Row& row) {
-                         view->GatherCompBits(row, static_cast<uint32_t>(i));
-                       });
-  }
-  view->Finish(skills);
-  return view;
+  return BuildWith(oracle, skills, task, std::move(universe), threads,
+                   max_bytes, /*cache_only=*/false);
 }
 
 std::unique_ptr<TaskCompatView> TaskCompatView::BuildFromCachedRows(
     CompatibilityOracle* oracle, const SkillAssignment& skills,
-    const Task& task, std::vector<NodeId> universe, size_t max_bytes,
-    bool* complete) {
-  TFSN_CHECK(oracle != nullptr);
-  TFSN_CHECK(complete != nullptr);
-  *complete = false;
-  if (!Fits(*oracle, universe.size(), task.skills().size(), max_bytes)) {
-    return nullptr;
-  }
-  std::unique_ptr<TaskCompatView> view =
-      Allocate(oracle, task, std::move(universe));
-
-  // Every row fills eagerly — from its cached oracle row when resident,
-  // pessimistically otherwise — and both ready sets are fully published,
-  // so the lazy materializers (and hence the oracle's compute path) are
-  // never reached through this view.
-  bool all_cached = true;
-  for (uint32_t i = 0; i < view->m_; ++i) {
-    std::shared_ptr<const CompatibilityOracle::Row> row =
-        oracle->PeekRow(view->universe_[i]);
-    if (row != nullptr) {
-      view->GatherCompBits(*row, i);
-      view->GatherDistances(*row, i);
-    } else {
-      // Pessimistic fill: an unknown candidate admits nobody and reaches
-      // nobody, so teams formed against the view only ever rely on pairs
-      // a real row confirmed (sound, possibly suboptimal).
-      all_cached = false;
-      uint64_t* bits = view->dir_bits_.get() + size_t{i} * view->words_;
-      uint16_t* dist = view->dist_.get() + size_t{i} * view->m_;
-      std::fill(bits, bits + view->words_, uint64_t{0});
-      std::fill(dist, dist + view->m_, kDenseUnreachable);
-    }
-    view->dir_ready_[i].store(1, std::memory_order_relaxed);
-    view->dist_ready_[i].store(1, std::memory_order_relaxed);
-  }
-  view->Finish(skills);
-  *complete = all_cached;
-  return view;
+    const Task& task, std::vector<NodeId> universe, size_t max_bytes) {
+  return BuildWith(oracle, skills, task, std::move(universe), /*threads=*/1,
+                   max_bytes, /*cache_only=*/true);
 }
 
 }  // namespace tfsn

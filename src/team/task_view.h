@@ -19,6 +19,14 @@
 // subset of the universe — so most rows are never gathered. (SBPH comp
 // bits are filled eagerly: its pair semantics need the transpose.)
 //
+// BuildFromCachedRows (the serving layer's cache-only tier) builds the
+// same view over a peek-only row source, CompatibilityOracle::PeekRow: it
+// never computes a row or reads the spill tier, and decodes each touched
+// row once. A row that is not cached is filled pessimistically (no comp
+// bits, every distance unreachable: it admits nobody and reaches nobody,
+// so teams stay sound) and sets missed_rows(); while that is clear, every
+// row read was real, so answers equal the full view's.
+//
 // "Compatible with the whole team" then becomes an AND-fold of 64-bit
 // words over team rows, and MinDistance scoring becomes dense uint16
 // loads — no oracle round-trips inside the seed loop. Pair semantics
@@ -103,21 +111,19 @@ class TaskCompatView {
       const Task& task, std::vector<NodeId> universe, uint32_t threads = 1,
       size_t max_bytes = kDefaultMaxBytes);
 
-  /// Degraded-tier builder for deadline-pressed serving: materializes the
-  /// whole view eagerly from rows already resident in the oracle's cache
-  /// memory tier (CompatibilityOracle::PeekRow) — never computes a row,
-  /// never reads the spill tier, so the cost is bounded by decodes. A
-  /// universe row that is not cached is filled pessimistically: no comp
-  /// bits, all distances unreachable. Teams formed against such a view
-  /// are *sound* (every accepted pair was confirmed by a real cached row)
-  /// but may differ from the exact answer — callers must mark responses
-  /// degraded unless *complete was set true (every row was cached, making
-  /// the view bit-identical to the full build). Returns nullptr under the
-  /// same gates as BuildFromUniverse.
+  /// The cache-only tier of deadline-pressed serving: the same view over
+  /// PeekRow (see file comment), so it never computes a row. Returns
+  /// nullptr under the same gates as BuildFromUniverse.
   static std::unique_ptr<TaskCompatView> BuildFromCachedRows(
       CompatibilityOracle* oracle, const SkillAssignment& skills,
-      const Task& task, std::vector<NodeId> universe, size_t max_bytes,
-      bool* complete);
+      const Task& task, std::vector<NodeId> universe, size_t max_bytes);
+
+  /// True once a cache-only view filled a row pessimistically because it
+  /// was not cached (for SBPH, possibly at build time). While it is clear,
+  /// every row read so far was real. Never set on a full-tier view.
+  bool missed_rows() const {
+    return missed_rows_.load(std::memory_order_relaxed);
+  }
 
   /// Number of candidates (local ids are [0, size())).
   uint32_t size() const { return m_; }
@@ -142,7 +148,7 @@ class TaskCompatView {
   /// Materializes on first touch (thread-safe, idempotent).
   std::span<const uint64_t> DirRow(uint32_t local) const {
     if (!dir_ready_[local].load(std::memory_order_acquire)) {
-      MaterializeDirRow(local);
+      Materialize(local, /*dist=*/false);
     }
     return {dir_bits_.get() + static_cast<size_t>(local) * words_, words_};
   }
@@ -160,7 +166,7 @@ class TaskCompatView {
   /// row is a plain contiguous array thereafter.
   std::span<const uint16_t> DistRow(uint32_t local) const {
     if (!dist_ready_[local].load(std::memory_order_acquire)) {
-      MaterializeDistRow(local);
+      Materialize(local, /*dist=*/true);
     }
     return {dist_.get() + static_cast<size_t>(local) * m_, m_};
   }
@@ -211,6 +217,12 @@ class TaskCompatView {
  private:
   TaskCompatView() = default;
 
+  /// Every entry point's one path: Fits, the task_view.build_fail fault
+  /// point, Allocate, then Finish; `cache_only` picks the row source.
+  static std::unique_ptr<TaskCompatView> BuildWith(
+      CompatibilityOracle* oracle, const SkillAssignment& skills,
+      const Task& task, std::vector<NodeId> universe, uint32_t threads,
+      size_t max_bytes, bool cache_only);
   /// The two gates both builders share: fewer than 2^15 - 1 graph nodes
   /// (finite distances fit in uint16) and EstimateBytes <= `max_bytes`.
   static bool Fits(const CompatibilityOracle& oracle, size_t m,
@@ -226,24 +238,28 @@ class TaskCompatView {
 
   /// Gather `row` — the oracle row of universe_[local] — restricted to the
   /// universe into dense row `local`: comp bits, or distances with
-  /// kUnreachable saturated to the sentinel.
-  void GatherCompBits(const CompatibilityOracle::Row& row,
+  /// kUnreachable saturated to the sentinel. A null `row` (a cache-only
+  /// miss) gathers the pessimistic row: no bits, every distance
+  /// unreachable.
+  void GatherCompBits(const CompatibilityOracle::Row* row,
                       uint32_t local) const;
-  void GatherDistances(const CompatibilityOracle::Row& row,
+  void GatherDistances(const CompatibilityOracle::Row* row,
                        uint32_t local) const;
 
-  /// Gather the dense comp-bit / distance row of `local` from the
-  /// (cached) oracle row. Idempotent; serialized per striped lock
+  /// Gather the dense comp-bit (`dist` false) or distance row of `local`
+  /// from the view's row source; the cache-only tier gathers both from
+  /// one peek. Idempotent; serialized per striped lock
   /// (row_locks_[local % kLockStripes]) so concurrent seed workers never
   /// observe a half-written row. The stripe association is data-dependent,
   /// so it is outside what TFSN_GUARDED_BY can express — the protocol is
   /// documented on the members below instead.
-  void MaterializeDirRow(uint32_t local) const;
-  void MaterializeDistRow(uint32_t local) const;
+  void Materialize(uint32_t local, bool dist) const;
 
   static constexpr size_t kLockStripes = 16;
 
   CompatibilityOracle* oracle_ = nullptr;  // for lazy rows
+  /// Row source: PeekRow (the cache-only tier) instead of GetRowShared.
+  bool cache_only_ = false;
   Task task_;
   CompatKind kind_ = CompatKind::kNNE;
   uint32_t m_ = 0;
@@ -260,7 +276,7 @@ class TaskCompatView {
   /// 1 to the matching ready flag; readers (DirRow/DistRow) do an acquire
   /// load of the flag and touch the row bytes only after seeing 1, so the
   /// release/acquire pair makes the fully-written row visible. A reader
-  /// that sees 0 falls into Materialize*, where the stripe lock serializes
+  /// that sees 0 falls into Materialize, where the stripe lock serializes
   /// the double-checked recheck (relaxed load there is safe: the lock's
   /// ordering covers it).
   mutable std::unique_ptr<uint64_t[]> dir_bits_;
@@ -268,6 +284,10 @@ class TaskCompatView {
   mutable std::unique_ptr<std::atomic<uint8_t>[]> dir_ready_;
   mutable std::unique_ptr<std::atomic<uint8_t>[]> dist_ready_;
   mutable std::array<Mutex, kLockStripes> row_locks_;
+  /// Lock-free ordering contract: a sticky flag, relaxed on both sides.
+  /// It publishes no data, and callers read it after joining the seed
+  /// workers that could set it, which orders the store before the load.
+  mutable std::atomic<bool> missed_rows_{false};
   std::vector<uint64_t> holder_bits_;  // task size * words_
   std::vector<uint32_t> holder_counts_;
 };

@@ -222,9 +222,12 @@ TEST(OracleTest, RowCacheAvoidsRecomputation) {
 TEST(OracleTest, RowCacheEvictsWhenFull) {
   Rng rng(97);
   SignedGraph g = RandomConnectedGnm(30, 60, 0.3, &rng);
-  OracleParams params;
-  params.max_cached_rows = 2;
-  auto oracle = MakeOracle(g, CompatKind::kSPO, params);
+  RowCacheOptions small;
+  small.max_rows = 2;
+  small.max_bytes = 0;
+  small.shards = 1;
+  auto oracle = MakeOracle(g, CompatKind::kSPO, OracleParams{},
+                           std::make_shared<RowCache>(small));
   oracle->GetRow(0);
   oracle->GetRow(1);
   oracle->GetRow(2);  // evicts 0

@@ -26,6 +26,7 @@
 #include "src/serve/types.h"
 #include "src/serve/workload.h"
 #include "src/skills/skill_generator.h"
+#include "src/team/cost.h"
 #include "src/team/greedy.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
@@ -79,6 +80,16 @@ std::vector<TeamRequest> MakeRequests(const Harness& h, uint32_t n,
   auto reqs = GenerateRequests(h.inst.skills, options);
   for (TeamRequest& req : reqs) req.deadline_us = deadline_us;
   return reqs;
+}
+
+// True when `result` is a sound team for `task`: it covers the task and
+// every member pair is compatible under the exact oracle. Degraded answers
+// must meet this even when they differ from the reference.
+bool SoundTeam(const Harness& h, const Task& task, const TeamResult& result) {
+  auto exact = MakeOracle(h.inst.graph, CompatKind::kSPM);
+  return result.found &&
+         TeamCoversTask(h.inst.skills, task, result.members) &&
+         TeamCompatible(exact.get(), result.members);
 }
 
 // Forms every request directly — the exact reference.
@@ -307,7 +318,6 @@ TEST(DegradationTest, CompleteCacheOnlyViewStaysExactAndNonDegraded) {
   }
   ServerOptions options;
   options.deadline.shed = ShedMode::kQueue;
-  options.deadline.degrade = true;
   // Full path "costs" 2000s — everything degrades; budget is 1000s, so
   // nothing sheds and the oracle fallback (1µs estimate) is always funded.
   options.deadline.assume_build_us = 1000ull * 1000 * 1000;
@@ -336,15 +346,13 @@ TEST(DegradationTest, CompleteCacheOnlyViewStaysExactAndNonDegraded) {
 
 TEST(DegradationTest, ColdCacheDegradesOrFallsBackButFulfillsEverything) {
   // Fresh, empty cache + unreachable full-path estimate: the cache-only
-  // tier sees incomplete views. Every admitted promise must still be
-  // fulfilled, degraded responses must be flagged and counted, and
-  // responses that came out exact (oracle fallback) must match the
-  // reference.
+  // tier reads rows that are not cached. Every admitted promise must still
+  // be fulfilled, degraded responses must be sound, flagged and counted,
+  // and responses that came out exact must match the reference.
   Harness h;
   auto cold = std::make_shared<RowCache>();
   ServerOptions options;
   options.deadline.shed = ShedMode::kQueue;
-  options.deadline.degrade = true;
   options.deadline.assume_build_us = 1000ull * 1000 * 1000;
   options.deadline.assume_service_us = 1;
   TeamFormationServer server(h.inst.graph, h.inst.skills, h.index.get(),
@@ -362,12 +370,13 @@ TEST(DegradationTest, ColdCacheDegradesOrFallsBackButFulfillsEverything) {
     if (!resp.status.ok()) continue;
     if (resp.degraded) {
       ++degraded_seen;
-      // Degraded teams are sound but need not match the exact answer;
-      // they must at least be real teams.
-      EXPECT_TRUE(resp.result.found);
+      // Degraded teams need not match the exact answer, but they must be
+      // sound.
+      EXPECT_TRUE(SoundTeam(h, requests[resp.id].task, resp.result))
+          << "request " << resp.id;
     } else {
-      // Exact tiers (complete cache-only view or oracle fallback) match
-      // the direct former bit for bit.
+      // Exact answers (a cache-only view whose every read row was cached)
+      // match the direct former bit for bit.
       EXPECT_EQ(resp.result.members, reference[resp.id].members)
           << "request " << resp.id;
       EXPECT_EQ(resp.result.cost, reference[resp.id].cost);
@@ -377,20 +386,66 @@ TEST(DegradationTest, ColdCacheDegradesOrFallsBackButFulfillsEverything) {
   EXPECT_EQ(server.Metrics().degraded, degraded_seen);
 }
 
-TEST(DegradationTest, DegradeOffShedsInsteadOfServingCheaperTiers) {
-  // degrade = false with an unfundable full path: requests with deadlines
-  // are shed, not served degraded.
+TEST(DegradationTest, PartlyCachedRowsServeExactOrSoundTeams) {
+  // Three rows in four cached + an unreachable full-path estimate: the
+  // cache-only tier answers exactly when the seed loop read only cached
+  // rows; otherwise it serves a sound, flagged team or sheds. It never
+  // computes a row. (Few seeds keep the rows each request reads few, so
+  // both outcomes occur.)
+  Harness h;
+  auto partial = std::make_shared<RowCache>();
+  std::vector<NodeId> cached;
+  for (NodeId u = 0; u < h.inst.graph.num_nodes(); ++u) {
+    if (u % 4 != 0) cached.push_back(u);
+  }
+  MakeOracle(h.inst.graph, CompatKind::kSPM, OracleParams{}, partial)
+      ->StreamRows(cached, 1, [](size_t, const CompatRow&) {});
+  ServerOptions options;
+  options.greedy.max_seeds = 2;
+  options.deadline.shed = ShedMode::kQueue;
+  options.deadline.assume_build_us = 1000ull * 1000 * 1000;
+  options.deadline.assume_service_us = 1;
+  TeamFormationServer server(h.inst.graph, h.inst.skills, h.index.get(),
+                             CompatKind::kSPM, partial, options);
+
+  const auto requests = MakeRequests(h, 40, /*deadline_us=*/1000ull * 1000 * 1000);
+  WorkloadResult run = RunBurst(&server, requests);
+  server.Shutdown();
+
+  ASSERT_EQ(run.responses.size(), requests.size());
+  EXPECT_EQ(run.completed + run.shed, run.submitted);
+  const auto reference = DirectReference(h, server.options().greedy, requests);
+  uint64_t exact = 0;
+  for (const TeamResponse& resp : run.responses) {
+    if (!resp.status.ok()) continue;
+    if (resp.degraded) {
+      EXPECT_TRUE(SoundTeam(h, requests[resp.id].task, resp.result))
+          << "request " << resp.id;
+    } else {
+      ++exact;
+      EXPECT_EQ(resp.result.members, reference[resp.id].members)
+          << "request " << resp.id;
+      EXPECT_EQ(resp.result.cost, reference[resp.id].cost);
+    }
+  }
+  // Both kinds of answer occur, so both checks above ran.
+  EXPECT_GT(exact, 0u);
+  EXPECT_GT(run.degraded, 0u);
+  EXPECT_EQ(partial->SnapshotCounters().insertions, cached.size());
+}
+
+TEST(DegradationTest, ExpiredBudgetShedsBeforeAnyTier) {
+  // A budget that expires before any ladder decision: requests are shed,
+  // not served by a cheaper tier.
   Harness h;
   ServerOptions options;
   options.deadline.shed = ShedMode::kQueue;
-  options.deadline.degrade = false;
   auto server = h.NewServer(options);
 
   // Cost estimates start at zero (no assume_* overrides, empty EWMA), so
   // the front door admits everything; the 1µs budget then expires in the
-  // queue before any worker can pick the request up, and with degrade
-  // off there is no cheaper tier to fall back to — every request must
-  // come back as a typed queue-tier shed.
+  // queue before any worker can pick the request up, so no tier is ever
+  // tried — every request must come back as a typed shed.
   const auto requests = MakeRequests(h, 20, /*deadline_us=*/1);
   WorkloadResult run = RunBurst(server.get(), requests);
   server->Shutdown();
@@ -414,7 +469,6 @@ TEST(OverloadTest, AcceptedP99WithinBudgetWhileShedAbsorbsExcess) {
   options.queue_capacity = 4096;
   options.batch.max_batch = 8;
   options.deadline.shed = ShedMode::kQueue;
-  options.deadline.degrade = true;
   // TSan slows every lock/atomic op ~10x, which breaks the "assumed cost
   // is conservative vs real cost" premise below; scale the whole scenario
   // up under instrumentation so the premise holds again.

@@ -12,8 +12,9 @@
 // The cache is sized to starve (8 resident rows over a spill store), so
 // burst traffic continuously exercises insert, eviction/append, spill
 // read/promote, and mmap paths — each fault point fires many times per
-// run (asserted via FireCount). The spill reopen scan is a separate case:
-// it only runs at store construction, so it gets its own test.
+// run (asserted via FireCount). The degradation ladder's cache-only tier
+// and the spill reopen scan are separate cases: deadline-free bursts
+// never reach the ladder, and the scan only runs at store construction.
 
 #include <gtest/gtest.h>
 
@@ -32,6 +33,8 @@
 #include "src/serve/server.h"
 #include "src/serve/workload.h"
 #include "src/skills/skill_generator.h"
+#include "src/team/cost.h"
+#include "src/team/greedy.h"
 #include "src/util/fault_injection.h"
 #include "src/util/fnv1a.h"
 #include "src/util/rng.h"
@@ -152,6 +155,91 @@ TEST_F(FaultMatrixTest, EveryFaultScheduleKeepsAnswersDigestIdentical) {
     // Contract 3: answers are bit-identical (faults cost recomputation
     // only — every injected failure path recovers exactly).
     EXPECT_EQ(ExactDigest(run.responses), want) << "answers diverged";
+  }
+}
+
+TEST_F(FaultMatrixTest, CacheOnlyTierKeepsAnswersExactOrSound) {
+  // Every request carries a generous deadline, but the full path's build
+  // estimate is pinned above it, so every request takes the degradation
+  // ladder's cache-only tier. The cache is warmed with every row before
+  // the server opens (the ladder never computes one). Contract: every
+  // promise is fulfilled; each OK, non-degraded response equals the
+  // fault-free reference team for its id; each degraded one is sound.
+  constexpr uint64_t kBudgetUs = 1000ull * 1000 * 1000;
+  WorkloadOptions wopts;
+  wopts.num_requests = 60;
+  wopts.seed = 77;
+  const std::vector<TeamRequest> requests =
+      GenerateRequests(inst_.skills, wopts);
+  auto exact = MakeOracle(inst_.graph, CompatKind::kSPM);
+  Rng idx_rng(3);
+  SkillCompatibilityIndex index(exact.get(), inst_.skills, 0, &idx_rng);
+  ServerOptions options;
+  options.workers = 2;
+  options.batch.max_batch = 8;
+  options.deadline.shed = ShedMode::kQueue;
+  options.deadline.assume_build_us = 2 * kBudgetUs;
+  options.deadline.assume_service_us = 1;
+  std::vector<TeamResult> reference;
+  {
+    GreedyTeamFormer former(exact.get(), inst_.skills, &index,
+                            options.greedy);
+    for (const TeamRequest& req : requests) {
+      Rng rng(req.rng_seed);
+      reference.push_back(former.Form(req.task, &rng));
+    }
+  }
+  std::vector<NodeId> all(inst_.graph.num_nodes());
+  for (NodeId u = 0; u < all.size(); ++u) all[u] = u;
+
+  const std::vector<std::pair<std::string, std::string>> matrix = {
+      {"task_view.build_fail", "every:2"},
+      {"row_cache.insert_drop", "every:3"},
+  };
+  for (const auto& [point, schedule_text] : matrix) {
+    SCOPED_TRACE(point + ":" + schedule_text);
+    auto& reg = FaultRegistry::Instance();
+    reg.Reset();
+    FaultSchedule schedule;
+    ASSERT_TRUE(FaultRegistry::ParseSchedule(schedule_text, &schedule));
+    reg.Arm(point, schedule);
+
+    RowCacheOptions copts;
+    copts.compress = true;
+    copts.max_bytes = 0;
+    auto cache = std::make_shared<RowCache>(copts);
+    MakeOracle(inst_.graph, CompatKind::kSPM, OracleParams{}, cache)
+        ->StreamRows(all, 1, [](size_t, const CompatRow&) {});
+    TeamFormationServer server(inst_.graph, inst_.skills, &index,
+                               CompatKind::kSPM, cache, options);
+    std::vector<TeamRequest> budgeted = requests;
+    for (TeamRequest& req : budgeted) req.deadline_us = kBudgetUs;
+    const WorkloadResult run = RunBurst(&server, budgeted);
+    server.Shutdown();
+
+    ASSERT_EQ(run.responses.size(), run.submitted);
+    EXPECT_EQ(run.completed + run.shed, run.submitted);
+    EXPECT_GT(reg.FireCount(point), 0u) << "fault never fired";
+    EXPECT_GT(run.completed, 0u);
+    for (const TeamResponse& resp : run.responses) {
+      if (!resp.status.ok()) {
+        EXPECT_TRUE(resp.status.IsDeadlineExceeded())
+            << resp.status.ToString();
+        continue;
+      }
+      if (resp.degraded) {
+        // Sound: covers the task, every pair compatible.
+        EXPECT_TRUE(resp.result.found &&
+                    TeamCoversTask(inst_.skills, requests[resp.id].task,
+                                   resp.result.members) &&
+                    TeamCompatible(exact.get(), resp.result.members))
+            << "request " << resp.id;
+      } else {
+        EXPECT_EQ(resp.result.members, reference[resp.id].members)
+            << "request " << resp.id;
+        EXPECT_EQ(resp.result.cost, reference[resp.id].cost);
+      }
+    }
   }
 }
 

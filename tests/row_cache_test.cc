@@ -365,9 +365,12 @@ TEST(SharedCacheTest, OraclesShareRowsWithoutCrossKindCollisions) {
 TEST(SharedCacheTest, GetRowReferenceSurvivesEviction) {
   Rng rng(79);
   SignedGraph g = RandomConnectedGnm(20, 40, 0.25, &rng);
-  OracleParams params;
-  params.max_cached_rows = 1;
-  auto oracle = MakeOracle(g, CompatKind::kSPO, params);
+  RowCacheOptions one_row;
+  one_row.max_rows = 1;
+  one_row.max_bytes = 0;
+  one_row.shards = 1;
+  auto oracle = MakeOracle(g, CompatKind::kSPO, OracleParams{},
+                           std::make_shared<RowCache>(one_row));
   const auto& row0 = oracle->GetRow(0);
   std::vector<uint8_t> snapshot = row0.comp;
   oracle->GetRow(1);  // evicts row 0 from the cache

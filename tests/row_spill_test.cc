@@ -231,11 +231,14 @@ TEST(RowSpillTest, CorruptSpillRecordDegradesToRecompute) {
   SignedGraph g = RandomConnectedGnm(40, 100, 0.3, &rng);
   const std::string dir = SpillDir("spill-corrupt");
   auto spill = std::make_shared<RowSpillStore>(dir);
-  OracleParams params;
-  params.max_cached_rows = 2;
-  params.compress = true;
-  params.spill = spill;
-  auto oracle = MakeOracle(g, CompatKind::kSPM, params);
+  RowCacheOptions tiered;
+  tiered.max_rows = 2;
+  tiered.max_bytes = 0;
+  tiered.shards = 1;
+  tiered.compress = true;
+  tiered.spill = spill;
+  auto oracle = MakeOracle(g, CompatKind::kSPM, OracleParams{},
+                           std::make_shared<RowCache>(tiered));
   auto flat = MakeOracle(g, CompatKind::kSPM, OracleParams{});
 
   for (NodeId q = 0; q < g.num_nodes(); ++q) oracle->GetRow(q);

@@ -1,10 +1,18 @@
 // Tests for the task-local dense compatibility view (task_view.h) and the
 // greedy former's view fast path: the view must reproduce the oracle's
 // pair semantics bit for bit, Form/FormTopK must return identical results
-// on the view and oracle paths for every policy combination, and the
-// parallel seed loop must be deterministic across thread counts.
+// on the view and oracle paths for every policy combination, the
+// cache-only view must match the full view whenever the rows it read were
+// cached, and the parallel seed loop must be deterministic across thread
+// counts.
 
 #include "src/team/task_view.h"
+
+#include <memory>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -387,6 +395,173 @@ TEST(GreedyViewEquivalenceTest, DefaultFallsBackOnLargeGraphAndStaysIdentical) {
     }
   }
   EXPECT_GT(found, 0);  // the comparison covered real teams
+}
+
+// ---------------------------------------------------------------------------
+// Cache-only view: the same lazy view over a peek-only row source
+// ---------------------------------------------------------------------------
+
+std::vector<NodeId> AllNodes(const SignedGraph& g) {
+  std::vector<NodeId> all(g.num_nodes());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) all[u] = u;
+  return all;
+}
+
+// Computes the rows of `sources` into the oracle's cache. StreamRows pins
+// nothing once it returns, so later cache reads decode afresh.
+void WarmRows(CompatibilityOracle* oracle, std::span<const NodeId> sources) {
+  oracle->StreamRows(sources, 1, [](size_t, const CompatRow&) {});
+}
+
+std::unique_ptr<TaskCompatView> CacheOnlyView(CompatibilityOracle* oracle,
+                                              const SkillAssignment& skills,
+                                              const Task& task) {
+  return TaskCompatView::BuildFromCachedRows(
+      oracle, skills, task, HolderUniverse(skills, task.skills()),
+      TaskCompatView::kDefaultMaxBytes);
+}
+
+TEST(CacheOnlyViewTest, WarmCacheMatchesFullViewForEveryPolicyAndKind) {
+  Instance inst = MakeInstance(36, 96, 0.25, 10, 181);
+  std::vector<std::pair<std::string, std::unique_ptr<CompatibilityOracle>>>
+      oracles;
+  for (CompatKind kind : AllCompatKinds()) {
+    OracleParams params;
+    params.sbp.max_depth = 6;  // keeps exact SBP affordable
+    oracles.emplace_back(CompatKindName(kind),
+                         MakeOracle(inst.graph, kind, params));
+  }
+  oracles.emplace_back("threshold", MakeThresholdOracle(inst.graph, 0.75));
+  for (auto& [name, oracle] : oracles) {
+    WarmRows(oracle.get(), AllNodes(inst.graph));
+    Rng index_rng(3);
+    SkillCompatibilityIndex index(
+        oracle.get(), inst.skills,
+        oracle->kind() == CompatKind::kSBP ? 12 : 0, &index_rng);
+    const uint64_t computed = oracle->rows_computed();
+    for (SkillPolicy sp :
+         {SkillPolicy::kRarest, SkillPolicy::kLeastCompatible}) {
+      for (UserPolicy up :
+           {UserPolicy::kMinDistance, UserPolicy::kMostCompatible,
+            UserPolicy::kRandom}) {
+        GreedyTeamFormer former(oracle.get(), inst.skills, &index,
+                                PathParams(sp, up, GreedyEvalPath::kView));
+        Rng task_rng(29);
+        for (int trial = 0; trial < 3; ++trial) {
+          Task task = RandomTask(inst.skills, 4, &task_rng);
+          auto full = TaskCompatView::Build(oracle.get(), inst.skills, task);
+          auto cached = CacheOnlyView(oracle.get(), inst.skills, task);
+          ASSERT_NE(full, nullptr);
+          ASSERT_NE(cached, nullptr);
+          Rng rng_a(8000 + trial), rng_b(8000 + trial);
+          const std::string what = name + "/" + SkillPolicyName(sp) + "/" +
+                                   UserPolicyName(up);
+          ExpectSameResult(former.FormWithView(*cached, task, &rng_a),
+                           former.FormWithView(*full, task, &rng_b), what);
+          EXPECT_FALSE(cached->missed_rows()) << what;
+        }
+      }
+    }
+    EXPECT_EQ(oracle->rows_computed(), computed) << name;
+  }
+}
+
+TEST(CacheOnlyViewTest, ColdCacheComputesNothingAndFlagsTheView) {
+  Instance inst = MakeInstance(40, 100, 0.25, 10, 187);
+  for (CompatKind kind : {CompatKind::kSPA, CompatKind::kSPM,
+                          CompatKind::kSBPH, CompatKind::kNNE}) {
+    auto oracle = MakeOracle(inst.graph, kind);
+    GreedyTeamFormer former(
+        oracle.get(), inst.skills, nullptr,
+        PathParams(SkillPolicy::kRarest, UserPolicy::kMinDistance,
+                   GreedyEvalPath::kView));
+    Rng task_rng(13);
+    Task task = RandomTask(inst.skills, 4, &task_rng);
+    auto view = CacheOnlyView(oracle.get(), inst.skills, task);
+    ASSERT_NE(view, nullptr) << CompatKindName(kind);
+    Rng rng(5);
+    former.FormWithView(*view, task, &rng);
+    EXPECT_EQ(oracle->rows_computed(), 0u) << CompatKindName(kind);
+    EXPECT_EQ(oracle->row_cache()->SnapshotCounters().insertions, 0u);
+    EXPECT_TRUE(view->missed_rows()) << CompatKindName(kind);
+  }
+}
+
+TEST(CacheOnlyViewTest, MissingRowTheSeedLoopNeverReadsKeepsTheAnswerExact) {
+  // Two components, 0-1-2 and 5-6. Skill 0 is held by node 0 alone, so
+  // under kRarest node 0 is the only seed; skill 1 is held by node 1 and
+  // by node 5, which is compatible with nobody in the other component.
+  // Node 5 is never a member or a candidate, so the seed loop never
+  // reads its row: with only that row missing, the cache-only answer is
+  // the exact one and the view stays unflagged.
+  SignedGraphBuilder b(7);
+  b.AddEdge(0, 1, Sign::kPositive).CheckOK();
+  b.AddEdge(1, 2, Sign::kPositive).CheckOK();
+  b.AddEdge(5, 6, Sign::kPositive).CheckOK();
+  SignedGraph g = std::move(b.Build()).ValueOrDie();
+  auto skills = std::move(SkillAssignment::Create(
+                              {{0}, {1}, {}, {}, {}, {1}, {}}, 2))
+                    .ValueOrDie();
+  const Task task({0, 1});
+  for (CompatKind kind : {CompatKind::kDPE, CompatKind::kSPA,
+                          CompatKind::kSPM, CompatKind::kSPO,
+                          CompatKind::kSBP}) {
+    auto oracle = MakeOracle(g, kind);
+    WarmRows(oracle.get(), std::vector<NodeId>{0, 1, 2, 3, 4, 6});
+    auto reference_oracle = MakeOracle(g, kind);
+    for (UserPolicy up : {UserPolicy::kMinDistance,
+                          UserPolicy::kMostCompatible, UserPolicy::kRandom}) {
+      const GreedyParams params =
+          PathParams(SkillPolicy::kRarest, up, GreedyEvalPath::kView);
+      GreedyTeamFormer former(oracle.get(), skills, nullptr, params);
+      GreedyTeamFormer reference(reference_oracle.get(), skills, nullptr,
+                                 params);
+      auto view = CacheOnlyView(oracle.get(), skills, task);
+      ASSERT_NE(view, nullptr);
+      Rng rng_a(9), rng_b(9);
+      const TeamResult expected = reference.Form(task, &rng_b);
+      const std::string what =
+          std::string(CompatKindName(kind)) + "/" + UserPolicyName(up);
+      EXPECT_TRUE(expected.found) << what;
+      ExpectSameResult(former.FormWithView(*view, task, &rng_a), expected,
+                       what);
+      EXPECT_FALSE(view->missed_rows()) << what;
+    }
+    EXPECT_EQ(oracle->PeekRow(5), nullptr);  // still never computed
+  }
+}
+
+TEST(CacheOnlyViewTest, DecodesOnlyTheRowsTheSeedLoopTouches) {
+  // A compressed cache holding every row: the cache-only view decodes a
+  // row when the seed loop first touches it, not the whole universe up
+  // front.
+  Instance inst = MakeInstance(150, 450, 0.2, 6, 191);
+  RowCacheOptions options;
+  options.max_bytes = 0;
+  options.compress = true;
+  auto cache = std::make_shared<RowCache>(options);
+  auto oracle = MakeOracle(inst.graph, CompatKind::kSPM, OracleParams{}, cache);
+  WarmRows(oracle.get(), AllNodes(inst.graph));
+  GreedyParams params = PathParams(SkillPolicy::kRarest,
+                                   UserPolicy::kMinDistance,
+                                   GreedyEvalPath::kView);
+  params.max_seeds = 4;
+  GreedyTeamFormer former(oracle.get(), inst.skills, nullptr, params);
+  Rng task_rng(17);
+  const Task task = RandomTask(inst.skills, 3, &task_rng);
+
+  const uint64_t before = cache->SnapshotCounters().decodes;
+  auto view = CacheOnlyView(oracle.get(), inst.skills, task);
+  ASSERT_NE(view, nullptr);
+  Rng rng_a(4);
+  const TeamResult via_cache = former.FormWithView(*view, task, &rng_a);
+  const uint64_t decodes = cache->SnapshotCounters().decodes - before;
+  EXPECT_GT(decodes, 0u);
+  EXPECT_LT(decodes, view->size());
+  EXPECT_FALSE(view->missed_rows());
+
+  Rng rng_b(4);
+  ExpectSameResult(via_cache, former.Form(task, &rng_b), "compressed cache");
 }
 
 // ---------------------------------------------------------------------------
