@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <string>
+#include <utility>
 
 #include "src/team/cost.h"
 #include "src/util/logging.h"
@@ -25,8 +26,7 @@ DistributedFormer::DistributedFormer(const SignedGraph& graph,
   }
   plan_ = ShardPlan(options_.strategy, graph.num_nodes(), options_.num_shards);
   {
-    std::unique_ptr<CompatibilityOracle> probe =
-        options_.oracle_factory(graph);
+    std::unique_ptr<CompatibilityOracle> probe = options_.oracle_factory(graph);
     TFSN_CHECK(probe != nullptr);
     sbph_ = probe->kind() == CompatKind::kSBPH;
   }
@@ -72,7 +72,7 @@ void DistributedFormer::AbortRun(uint32_t run) {
 }
 
 Result<std::vector<Message>> DistributedFormer::Gather(
-    uint32_t run, uint32_t seed, uint32_t step, MsgType want,
+    uint32_t run, uint32_t wave, uint32_t round, MsgType want,
     const std::vector<uint32_t>& from) {
   const uint32_t num_shards = options_.num_shards;
   std::vector<Message> replies(num_shards);
@@ -85,8 +85,9 @@ Result<std::vector<Message>> DistributedFormer::Gather(
     if (now >= deadline) {
       return Status::DeadlineExceeded(
           std::string("gather timeout waiting for ") + MsgTypeName(want) +
-          " (run " + std::to_string(run) + ", step " + std::to_string(step) +
-          ", " + std::to_string(remaining) + " shard(s) missing)");
+          " (run " + std::to_string(run) + ", wave " + std::to_string(wave) +
+          ", round " + std::to_string(round) + ", " +
+          std::to_string(remaining) + " shard(s) missing)");
     }
     const int64_t remaining_ms =
         std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
@@ -97,7 +98,7 @@ Result<std::vector<Message>> DistributedFormer::Gather(
         transport_->Recv(transport_->coordinator(), remaining_ms, &m));
     // Drop anything from another epoch (e.g. replies that straggled in
     // after an aborted run) or of an unexpected type.
-    if (m.run != run || m.seed != seed || m.step != step) continue;
+    if (m.run != run || m.wave != wave || m.round != round) continue;
     if (m.type != want) continue;
     if (m.src >= num_shards || got[m.src] != 0) continue;
     if (m.status != StatusCode::kOk) {
@@ -111,234 +112,308 @@ Result<std::vector<Message>> DistributedFormer::Gather(
   return replies;
 }
 
-Result<NodeId> DistributedFormer::ResolveRank(
-    uint32_t run, uint32_t seed_idx, uint32_t step, uint64_t k,
-    const std::vector<uint64_t>& counts, FormCommStats* acc) {
+namespace {
+
+Status MalformedReply(uint32_t shard, MsgType type) {
+  return Status::Internal("shard " + std::to_string(shard) + ": malformed " +
+                          MsgTypeName(type));
+}
+
+}  // namespace
+
+Status DistributedFormer::PickRandom(uint32_t run, uint32_t wave,
+                                     uint32_t round,
+                                     const std::vector<SeedState>& live,
+                                     const std::vector<Message>& replies,
+                                     std::vector<NodeId>* picks,
+                                     FormCommStats* acc) {
   const uint32_t num_shards = options_.num_shards;
-  if (plan_.IdOrderedByShard()) {
-    // Range plan: shard order is id order, so the global rank maps to a
-    // (shard, local rank) pair by prefix sums — one extra round.
-    uint64_t prefix = 0;
-    for (uint32_t t = 0; t < num_shards; ++t) {
-      if (k < prefix + counts[t]) {
-        Message pick;
-        pick.type = MsgType::kPickRank;
-        pick.src = transport_->coordinator();
-        pick.run = run;
-        pick.seed = seed_idx;
-        pick.step = step;
-        pick.arg = k - prefix;
-        TFSN_RETURN_NOT_OK(transport_->Send(pick.src, t, pick));
-        ++acc->rounds;
-        TFSN_ASSIGN_OR_RETURN(
-            std::vector<Message> replies,
-            Gather(run, seed_idx, step, MsgType::kPickReply, {t}));
-        return static_cast<NodeId>(replies[t].best_id);
-      }
-      prefix += counts[t];
-    }
-    return Status::Internal("rank " + std::to_string(k) +
-                            " exceeds the gathered candidate count");
+  // One NextBounded(total) per seed with a non-empty candidate set —
+  // exactly the single-node path's stream consumption (total equals the
+  // seed's global candidate count: the shard lists partition it).
+  struct Draw {
+    size_t j;    // position in `live`
+    uint64_t k;  // global rank, ascending id
+  };
+  std::vector<Draw> draws;
+  for (size_t j = 0; j < live.size(); ++j) {
+    uint64_t total = 0;
+    for (uint32_t t = 0; t < num_shards; ++t) total += replies[t].counts[j];
+    if (total == 0) continue;
+    TFSN_CHECK(live[j].rng != nullptr);
+    draws.push_back({j, live[j].rng->NextBounded(total)});
   }
-  // Hash plan: ownership interleaves the id space, so binary-search the
-  // smallest id x with |candidates <= x| >= k + 1 — O(log n) rounds of
-  // S constant-size messages each.
-  uint64_t lo = 0;
-  uint64_t hi = graph_.num_nodes() == 0 ? 0 : graph_.num_nodes() - 1;
-  while (lo < hi) {
-    const uint64_t mid = lo + (hi - lo) / 2;
+  if (draws.empty()) return Status::OK();
+
+  if (plan_.IdOrderedByShard()) {
+    // Range plan: shard order is id order, so each global rank maps to a
+    // (shard, local rank) pair by prefix sums — one round for all seeds.
+    std::vector<Message> asks(num_shards);
+    std::vector<std::pair<uint32_t, size_t>> where(draws.size());
+    for (size_t d = 0; d < draws.size(); ++d) {
+      uint64_t k = draws[d].k;
+      uint32_t t = 0;
+      while (k >= replies[t].counts[draws[d].j]) {
+        k -= replies[t].counts[draws[d].j];
+        ++t;
+      }
+      where[d] = {t, asks[t].seeds.size()};
+      asks[t].seeds.push_back(live[draws[d].j].index);
+      asks[t].args.push_back(k);
+    }
+    std::vector<uint32_t> from;
+    for (uint32_t t = 0; t < num_shards; ++t) {
+      if (asks[t].seeds.empty()) continue;
+      asks[t].type = MsgType::kPickRank;
+      asks[t].src = transport_->coordinator();
+      asks[t].run = run;
+      asks[t].wave = wave;
+      asks[t].round = round;
+      TFSN_RETURN_NOT_OK(transport_->Send(asks[t].src, t, asks[t]));
+      from.push_back(t);
+    }
+    ++acc->rounds;
+    TFSN_ASSIGN_OR_RETURN(std::vector<Message> picked,
+                          Gather(run, wave, round, MsgType::kPickReply, from));
+    for (uint32_t t : from) {
+      if (picked[t].best_ids.size() != asks[t].seeds.size()) {
+        return MalformedReply(t, MsgType::kPickReply);
+      }
+    }
+    for (size_t d = 0; d < draws.size(); ++d) {
+      (*picks)[draws[d].j] = picked[where[d].first].best_ids[where[d].second];
+    }
+    return Status::OK();
+  }
+
+  // Hash plan: ownership interleaves the id space, so binary-search each
+  // seed's smallest id x with |candidates <= x| >= k + 1. The searches
+  // advance in lockstep — one round of S messages per level, O(log n)
+  // levels.
+  const uint64_t n = graph_.num_nodes();
+  std::vector<uint64_t> lo(draws.size(), 0);
+  std::vector<uint64_t> hi(draws.size(), n == 0 ? 0 : n - 1);
+  for (;;) {
     Message probe;
     probe.type = MsgType::kCountLe;
     probe.run = run;
-    probe.seed = seed_idx;
-    probe.step = step;
-    probe.arg = mid;
-    TFSN_RETURN_NOT_OK(Broadcast(probe));
+    probe.wave = wave;
+    probe.round = round;
+    std::vector<size_t> open;
+    for (size_t d = 0; d < draws.size(); ++d) {
+      if (lo[d] >= hi[d]) continue;
+      open.push_back(d);
+      probe.seeds.push_back(live[draws[d].j].index);
+      probe.args.push_back(lo[d] + (hi[d] - lo[d]) / 2);
+    }
+    if (open.empty()) break;
+    TFSN_RETURN_NOT_OK(Broadcast(std::move(probe)));
     ++acc->rounds;
     TFSN_ASSIGN_OR_RETURN(
-        std::vector<Message> replies,
-        Gather(run, seed_idx, step, MsgType::kCountReply, all_shards_));
-    uint64_t le = 0;
-    for (uint32_t t = 0; t < num_shards; ++t) le += replies[t].count;
-    if (le >= k + 1) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
+        std::vector<Message> counted,
+        Gather(run, wave, round, MsgType::kCountReply, all_shards_));
+    for (uint32_t t = 0; t < num_shards; ++t) {
+      if (counted[t].counts.size() != open.size()) {
+        return MalformedReply(t, MsgType::kCountReply);
+      }
+    }
+    for (size_t q = 0; q < open.size(); ++q) {
+      const size_t d = open[q];
+      const uint64_t mid = lo[d] + (hi[d] - lo[d]) / 2;
+      uint64_t le = 0;
+      for (uint32_t t = 0; t < num_shards; ++t) le += counted[t].counts[q];
+      if (le >= draws[d].k + 1) {
+        hi[d] = mid;
+      } else {
+        lo[d] = mid + 1;
+      }
     }
   }
-  return static_cast<NodeId>(lo);
+  for (size_t d = 0; d < draws.size(); ++d) {
+    (*picks)[draws[d].j] = static_cast<NodeId>(lo[d]);
+  }
+  return Status::OK();
 }
 
-Result<std::pair<uint32_t, uint64_t>> DistributedFormer::EvalCost(
-    uint32_t run, uint32_t seed_idx, uint32_t step,
-    const std::vector<NodeId>& team, FormCommStats* acc) {
+Status DistributedFormer::EvalCosts(uint32_t run, uint32_t wave,
+                                    std::vector<TeamResult>* teams,
+                                    FormCommStats* acc) {
   Message ev;
   ev.type = MsgType::kCostEval;
   ev.run = run;
-  ev.seed = seed_idx;
-  ev.step = step;
-  ev.team = team;
-  TFSN_RETURN_NOT_OK(Broadcast(ev));
+  ev.wave = wave;
+  for (const TeamResult& r : *teams) {
+    ev.team.insert(ev.team.end(), r.members.begin(), r.members.end());
+    ev.team_sizes.push_back(static_cast<uint32_t>(r.members.size()));
+  }
+  TFSN_RETURN_NOT_OK(Broadcast(std::move(ev)));
   ++acc->rounds;
   TFSN_ASSIGN_OR_RETURN(
       std::vector<Message> replies,
-      Gather(run, seed_idx, step, MsgType::kCostReply, all_shards_));
+      Gather(run, wave, 0, MsgType::kCostReply, all_shards_));
 
-  // Assemble the directed distance matrix D[i][j] = dist(row(team[i]),
-  // team[j]) from the owners' rows; every member is owned by exactly one
-  // responding shard.
-  const size_t team_size = team.size();
-  std::vector<uint32_t> dist_matrix(team_size * team_size, 0);
-  std::vector<uint8_t> have(team_size, 0);
-  for (uint32_t t = 0; t < options_.num_shards; ++t) {
-    const Message& r = replies[t];
-    if (r.members.size() * team_size != r.dists.size()) {
-      return Status::Internal("shard " + std::to_string(t) +
-                              ": malformed cost reply");
-    }
-    for (size_t mi = 0; mi < r.members.size(); ++mi) {
-      const NodeId x = r.members[mi];
-      const auto it = std::lower_bound(team.begin(), team.end(), x);
-      if (it == team.end() || *it != x) {
+  // Each owner lists, team after team, the members it owns and their
+  // directed distance rows. The plan is replicated, so the coordinator
+  // knows whose reply holds row i of every team and reads them in order;
+  // the listed ids must match, so an owner that disagrees on ownership or
+  // row order yields a typed error, never a wrong cost.
+  std::vector<size_t> row(options_.num_shards, 0);
+  std::vector<size_t> at(options_.num_shards, 0);
+  std::vector<uint32_t> dist_matrix;
+  for (TeamResult& r : *teams) {
+    const std::vector<NodeId>& team = r.members;
+    const size_t k = team.size();
+    dist_matrix.assign(k * k, 0);
+    for (size_t i = 0; i < k; ++i) {
+      const uint32_t t = plan_.ShardOf(team[i]);
+      const Message& reply = replies[t];
+      if (row[t] == reply.members.size() || reply.members[row[t]] != team[i]) {
         return Status::Internal("shard " + std::to_string(t) +
-                                ": cost row for non-member " +
-                                std::to_string(x));
+                                ": cost row missing for member " +
+                                std::to_string(team[i]));
       }
-      const size_t i = static_cast<size_t>(it - team.begin());
-      if (have[i] != 0) {
-        return Status::Internal("duplicate cost row for member " +
-                                std::to_string(x));
+      if (reply.dists.size() - at[t] < k) {
+        return MalformedReply(t, MsgType::kCostReply);
       }
-      have[i] = 1;
-      for (size_t j = 0; j < team_size; ++j) {
-        dist_matrix[i * team_size + j] = r.dists[mi * team_size + j];
-      }
+      std::copy_n(reply.dists.begin() + at[t], k, dist_matrix.begin() + i * k);
+      ++row[t];
+      at[t] += k;
+    }
+    // Exactly the single-node pair semantics: SBPH takes the min over
+    // both directions, everything else reads row(team[i]) — then the
+    // shared objective loops from cost.h.
+    const auto pair_dist = [&](size_t i, size_t j) {
+      const uint32_t fwd = dist_matrix[i * k + j];
+      if (!sbph_) return fwd;
+      return std::min(fwd, dist_matrix[j * k + i]);
+    };
+    r.cost = TeamDiameterOver(k, pair_dist);
+    r.objective = params_.cost_kind == CostKind::kDiameter
+                      ? ObjectiveFromDiameter(r.cost)
+                      : TeamCostOver(k, params_.cost_kind, pair_dist);
+  }
+  // Rows left over are for nodes the shard does not own or for no member.
+  for (uint32_t t = 0; t < options_.num_shards; ++t) {
+    if (row[t] != replies[t].members.size() ||
+        at[t] != replies[t].dists.size()) {
+      return MalformedReply(t, MsgType::kCostReply);
     }
   }
-  for (size_t i = 0; i < team_size; ++i) {
-    if (have[i] == 0) {
-      return Status::Internal("cost row missing for member " +
-                              std::to_string(team[i]));
-    }
-  }
-
-  // Exactly the single-node pair semantics: SBPH takes the min over both
-  // directions, everything else reads row(team[i]) — then the shared
-  // objective loops from cost.h.
-  const auto pair_dist = [&](size_t i, size_t j) {
-    const uint32_t fwd = dist_matrix[i * team_size + j];
-    if (!sbph_) return fwd;
-    return std::min(fwd, dist_matrix[j * team_size + i]);
-  };
-  const uint32_t cost = TeamDiameterOver(team_size, pair_dist);
-  const uint64_t objective =
-      params_.cost_kind == CostKind::kDiameter
-          ? ObjectiveFromDiameter(cost)
-          : TeamCostOver(team_size, params_.cost_kind, pair_dist);
-  return std::make_pair(cost, objective);
+  return Status::OK();
 }
 
-Result<TeamResult> DistributedFormer::CompleteSeed(uint32_t run,
-                                                   uint32_t seed_idx,
-                                                   NodeId seed,
-                                                   const Task& task,
-                                                   Rng* seed_rng,
-                                                   FormCommStats* acc) {
-  TeamResult candidate;
-  std::vector<NodeId> team{seed};
-  SkillCoverage coverage(task);
-  coverage.Cover(skills_.SkillsOf(seed));
-  uint32_t step = 0;
-  NodeId last_added = seed;
-  while (!coverage.AllCovered()) {
-    const std::vector<SkillId> uncovered = coverage.Uncovered();
-    const SkillId s =
-        SelectSkillByPolicy(params_.skill_policy, skills_, index_, uncovered);
+Status DistributedFormer::RunWave(uint32_t run, uint32_t wave,
+                                  const Task& task,
+                                  const std::vector<NodeId>& seeds,
+                                  std::vector<Rng>* seed_rngs,
+                                  std::vector<TeamResult>* done,
+                                  FormCommStats* acc) {
+  const uint32_t first = wave * kWaveSeeds;
+  const uint32_t end = std::min<uint32_t>(first + kWaveSeeds,
+                                          static_cast<uint32_t>(seeds.size()));
+  // Per-seed result slots, appended in seed order at the end: the
+  // single-node merge order, whatever round each seed finishes in.
+  std::vector<TeamResult> slots(end - first);
+  const auto complete = [&](SeedState* s) {
+    TeamResult& slot = slots[s->index - first];
+    slot.found = true;
+    slot.members = std::move(s->team);
+    std::sort(slot.members.begin(), slot.members.end());
+  };
+  std::vector<SeedState> live;
+  for (uint32_t i = first; i < end; ++i) {
+    SeedState s{i, {seeds[i]}, SkillCoverage(task),
+                seed_rngs->empty() ? nullptr : &(*seed_rngs)[i]};
+    s.coverage.Cover(skills_.SkillsOf(seeds[i]));
+    if (s.coverage.AllCovered()) {
+      complete(&s);
+    } else {
+      live.push_back(std::move(s));
+    }
+  }
 
+  for (uint32_t round = 0; !live.empty(); ++round) {
     Message ev;
     ev.type = MsgType::kEvalStep;
     ev.run = run;
-    ev.seed = seed_idx;
-    ev.step = step;
-    ev.new_member = last_added;
-    ev.skill = s;
-    if (params_.user_policy == UserPolicy::kMostCompatible) {
-      // Skills still uncovered after s — the future-holder pool input.
-      for (SkillId t : uncovered) {
-        if (t != s) ev.rest.push_back(t);
+    ev.wave = wave;
+    ev.round = round;
+    for (const SeedState& s : live) {
+      const std::vector<SkillId> uncovered = s.coverage.Uncovered();
+      const SkillId skill = SelectSkillByPolicy(params_.skill_policy, skills_,
+                                                index_, uncovered);
+      ev.seeds.push_back(s.index);
+      ev.new_members.push_back(s.team.back());
+      ev.skills.push_back(skill);
+      uint32_t rest = 0;
+      if (params_.user_policy == UserPolicy::kMostCompatible) {
+        // Skills still uncovered after this one — the future-holder pool.
+        for (SkillId t : uncovered) {
+          if (t == skill) continue;
+          ev.rest.push_back(t);
+          ++rest;
+        }
       }
+      ev.rest_counts.push_back(rest);
     }
-    TFSN_RETURN_NOT_OK(Broadcast(ev));
-    ++acc->steps;
+    TFSN_RETURN_NOT_OK(Broadcast(std::move(ev)));
     ++acc->rounds;
+    acc->steps += live.size();
     TFSN_ASSIGN_OR_RETURN(
         std::vector<Message> replies,
-        Gather(run, seed_idx, step, MsgType::kCandidateReply, all_shards_));
-
-    // Merge the per-shard bests with the global order-fixed tie-break.
-    NodeId v = kInvalidNode;
-    switch (params_.user_policy) {
-      case UserPolicy::kMinDistance: {
-        uint64_t best_score = ~0ULL;
-        for (uint32_t t = 0; t < options_.num_shards; ++t) {
-          const Message& r = replies[t];
-          if (r.has_best == 0) continue;
-          if (v == kInvalidNode || r.best_score < best_score ||
-              (r.best_score == best_score && r.best_id < v)) {
-            best_score = r.best_score;
-            v = r.best_id;
-          }
-        }
-        break;
-      }
-      case UserPolicy::kMostCompatible: {
-        int64_t best_score = -1;
-        for (uint32_t t = 0; t < options_.num_shards; ++t) {
-          const Message& r = replies[t];
-          if (r.has_best == 0) continue;
-          const int64_t score = static_cast<int64_t>(r.best_score);
-          if (v == kInvalidNode || score > best_score ||
-              (score == best_score && r.best_id < v)) {
-            best_score = score;
-            v = r.best_id;
-          }
-        }
-        break;
-      }
-      case UserPolicy::kRandom: {
-        std::vector<uint64_t> counts(options_.num_shards, 0);
-        uint64_t total = 0;
-        for (uint32_t t = 0; t < options_.num_shards; ++t) {
-          counts[t] = replies[t].count;
-          total += counts[t];
-        }
-        if (total > 0) {
-          // One NextBounded(total) per step with a non-empty candidate
-          // set — exactly the single-node path's stream consumption
-          // (total equals the global candidate count: the shard lists
-          // partition it).
-          TFSN_CHECK(seed_rng != nullptr);
-          const uint64_t k = seed_rng->NextBounded(total);
-          TFSN_ASSIGN_OR_RETURN(
-              v, ResolveRank(run, seed_idx, step, k, counts, acc));
-        }
-        break;
+        Gather(run, wave, round, MsgType::kCandidateReply, all_shards_));
+    for (uint32_t t = 0; t < options_.num_shards; ++t) {
+      const Message& r = replies[t];
+      if (r.counts.size() != live.size() ||
+          r.best_ids.size() != live.size() ||
+          r.best_scores.size() != live.size()) {
+        return MalformedReply(t, MsgType::kCandidateReply);
       }
     }
-    if (v == kInvalidNode) return candidate;  // dead end, like single-node
-    team.push_back(v);
-    coverage.Cover(skills_.SkillsOf(v));
-    last_added = v;
-    ++step;
+
+    // Merge each seed's per-shard bests with the global order-fixed
+    // tie-break.
+    std::vector<NodeId> picks(live.size(), kInvalidNode);
+    if (params_.user_policy == UserPolicy::kRandom) {
+      TFSN_RETURN_NOT_OK(
+          PickRandom(run, wave, round, live, replies, &picks, acc));
+    } else {
+      const bool min_score = params_.user_policy == UserPolicy::kMinDistance;
+      for (size_t j = 0; j < live.size(); ++j) {
+        uint64_t best_score = 0;
+        for (uint32_t t = 0; t < options_.num_shards; ++t) {
+          const NodeId id = replies[t].best_ids[j];
+          if (id == kInvalidNode) continue;
+          const uint64_t score = replies[t].best_scores[j];
+          const bool better = min_score ? score < best_score
+                                        : score > best_score;
+          if (picks[j] == kInvalidNode || better ||
+              (score == best_score && id < picks[j])) {
+            best_score = score;
+            picks[j] = id;
+          }
+        }
+      }
+    }
+
+    std::vector<SeedState> next;
+    for (size_t j = 0; j < live.size(); ++j) {
+      SeedState& s = live[j];
+      if (picks[j] == kInvalidNode) continue;  // dead end, like single-node
+      s.team.push_back(picks[j]);
+      s.coverage.Cover(skills_.SkillsOf(picks[j]));
+      if (s.coverage.AllCovered()) {
+        complete(&s);
+      } else {
+        next.push_back(std::move(s));
+      }
+    }
+    live = std::move(next);
   }
-  std::sort(team.begin(), team.end());
-  TFSN_ASSIGN_OR_RETURN(const auto cost_obj,
-                        EvalCost(run, seed_idx, step, team, acc));
-  candidate.found = true;
-  candidate.cost = cost_obj.first;
-  candidate.objective = cost_obj.second;
-  candidate.members = std::move(team);
-  return candidate;
+  for (TeamResult& slot : slots) {
+    if (slot.found) done->push_back(std::move(slot));
+  }
+  return Status::OK();
 }
 
 Result<TeamResult> DistributedFormer::Form(const Task& task, Rng* rng,
@@ -363,6 +438,9 @@ Result<TeamResult> DistributedFormer::Form(const Task& task, Rng* rng,
       SelectSkillByPolicy(params_.skill_policy, skills_, index_, all_skills);
   std::vector<NodeId> seeds =
       GreedySeedSet(skills_, first, params_.max_seeds, rng);
+  // Per-seed forked streams in seed order — the single-node consumption.
+  std::vector<Rng> seed_rngs =
+      ForkSeedRngs(params_.user_policy, seeds.size(), rng);
 
   Message begin;
   begin.type = MsgType::kFormBegin;
@@ -370,27 +448,21 @@ Result<TeamResult> DistributedFormer::Form(const Task& task, Rng* rng,
   begin.task_skills.assign(task.skills().begin(), task.skills().end());
   begin.user_policy = static_cast<uint8_t>(params_.user_policy);
   begin.pool_cap = params_.most_compatible_pool_cap;
-  if (Status st = Broadcast(begin); !st.ok()) {
+  Status st = Broadcast(std::move(begin));
+
+  std::vector<TeamResult> candidates;
+  const uint32_t waves =
+      static_cast<uint32_t>((seeds.size() + kWaveSeeds - 1) / kWaveSeeds);
+  for (uint32_t wave = 0; st.ok() && wave < waves; ++wave) {
+    st = RunWave(run, wave, task, seeds, &seed_rngs, &candidates, &acc);
+  }
+  if (st.ok() && !candidates.empty()) {
+    st = EvalCosts(run, waves, &candidates, &acc);
+  }
+  if (!st.ok()) {
     AbortRun(run);
     finish();
     return st;
-  }
-
-  // Per-seed forked streams in seed order — the single-node consumption.
-  std::vector<Rng> seed_rngs =
-      ForkSeedRngs(params_.user_policy, seeds.size(), rng);
-
-  std::vector<TeamResult> candidates;
-  for (size_t i = 0; i < seeds.size(); ++i) {
-    Rng* seed_rng = seed_rngs.empty() ? nullptr : &seed_rngs[i];
-    Result<TeamResult> r = CompleteSeed(run, static_cast<uint32_t>(i),
-                                        seeds[i], task, seed_rng, &acc);
-    if (!r.ok()) {
-      AbortRun(run);
-      finish();
-      return r.status();
-    }
-    if (r->found) candidates.push_back(std::move(*r));
   }
   result.seeds_tried = static_cast<uint32_t>(seeds.size());
   result.seeds_succeeded = static_cast<uint32_t>(candidates.size());

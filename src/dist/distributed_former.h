@@ -2,31 +2,35 @@
 //
 // DistributedFormer partitions the holder universe across S shard workers
 // (ShardPlan + ShardWorker, threads-as-shards over InProcessTransport) and
-// runs Algorithm 2's seed loop as a sequence of broadcast/gather rounds:
-// per greedy step the coordinator broadcasts the team delta and the skill
-// to fill (kEvalStep), each worker evaluates its local candidates, and the
-// per-shard bests are merged with the global order-fixed tie-break —
-// minimum score then minimum id for kMinDistance, maximum score then
-// minimum id for kMostCompatible — which reproduces the single-node path's
-// first-strict-improvement scan over the ascending global candidate list.
-// The RANDOM policy gathers local candidate counts, draws the rank from
-// the same per-seed forked rng stream the single-node path consumes, and
-// resolves the k-th smallest candidate id (a prefix-sum pick for the range
-// plan, a binary search over the id space for the hash plan).
+// runs Algorithm 2's seed loop as broadcast/gather rounds. Seeds are
+// independent until the final argmin, so they advance in waves of up to
+// kWaveSeeds (message.h), in seed order: per wave round the coordinator
+// broadcasts one kEvalStep carrying every live seed's team delta and skill
+// to fill, each worker evaluates its local candidates for all of them and
+// answers once, and each seed's per-shard bests are merged with the global
+// order-fixed tie-break — minimum score then minimum id for kMinDistance,
+// maximum score then minimum id for kMostCompatible — which reproduces the
+// single-node path's first-strict-improvement scan over the ascending
+// global candidate list. The RANDOM policy gathers local candidate counts,
+// draws each seed's rank from the same per-seed forked rng stream the
+// single-node path consumes, and resolves every seed's k-th smallest
+// candidate id together: one kPickRank round for the range plan (prefix
+// sums), bisections in lockstep with one kCountLe round per level for the
+// hash plan. After the last wave one kCostEval round scores every
+// completed team.
 //
 // The contract: Form() is *bit-identical* to GreedyTeamFormer::Form for
 // every SkillPolicy x UserPolicy x CompatKind and every shard count,
 // including rng stream consumption, or it returns a typed error — never a
-// different team. Per-step coordinator traffic is O(S * team_size); the
-// row data plane (worker-to-worker slices) scales with the universe but
-// never touches the coordinator.
+// different team. Coordinator traffic per seed-step is O(S * team_size);
+// the row data plane (worker-to-worker slices) scales with the universe
+// but never touches the coordinator.
 
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "src/compat/compatibility.h"
@@ -65,10 +69,11 @@ inline OracleFactory OracleFactoryFor(CompatKind kind,
 
 /// Communication accounting for one Form() call.
 struct FormCommStats {
-  /// Greedy argmax steps coordinated (kEvalStep broadcasts).
+  /// Seed-steps coordinated: one per live seed per wave round — the
+  /// number of user selections the single-node path makes.
   uint64_t steps = 0;
-  /// Broadcast + gather cycles, including RANDOM rank-resolution probes
-  /// and the final cost gather.
+  /// Broadcast + gather cycles: wave rounds, RANDOM rank-resolution
+  /// rounds, and the final cost gather.
   uint64_t rounds = 0;
   /// Transport traffic attributable to this call (ledger delta).
   CommStats comm;
@@ -110,37 +115,46 @@ class DistributedFormer {
   uint64_t pending_messages() const { return transport_->PendingMessages(); }
 
  private:
+  /// One live seed of the current wave.
+  struct SeedState {
+    uint32_t index;            ///< within the run's seed list
+    std::vector<NodeId> team;  ///< in the order added
+    SkillCoverage coverage;    ///< skills the team holds
+    Rng* rng;                  ///< RANDOM only
+  };
+
   Status Broadcast(Message msg);
   void AbortRun(uint32_t run);
 
   /// Collects one reply of type `want` per shard in `from` for epoch
-  /// (run, seed, step); stale or unexpected messages are dropped. A reply
-  /// carrying a non-OK status, or a bounded-wait expiry, fails the gather.
-  Result<std::vector<Message>> Gather(uint32_t run, uint32_t seed,
-                                      uint32_t step, MsgType want,
+  /// (run, wave, round); stale or unexpected messages are dropped. A
+  /// reply carrying a non-OK status, or a bounded-wait expiry, fails the
+  /// gather.
+  Result<std::vector<Message>> Gather(uint32_t run, uint32_t wave,
+                                      uint32_t round, MsgType want,
                                       const std::vector<uint32_t>& from);
 
-  /// One seed's greedy completion via broadcast/gather rounds. Returns a
-  /// found == false TeamResult when the seed dead-ends (like the
-  /// single-node path); a Status only on shard/transport failure.
-  Result<TeamResult> CompleteSeed(uint32_t run, uint32_t seed_idx, NodeId seed,
-                                  const Task& task, Rng* seed_rng,
-                                  FormCommStats* acc);
+  /// Completes wave `wave` of `seeds` by broadcast/gather rounds and
+  /// appends its found teams (members sorted, cost not yet evaluated) to
+  /// *done in seed order. A Status only on shard/transport failure.
+  Status RunWave(uint32_t run, uint32_t wave, const Task& task,
+                 const std::vector<NodeId>& seeds,
+                 std::vector<Rng>* seed_rngs, std::vector<TeamResult>* done,
+                 FormCommStats* acc);
 
-  /// RANDOM policy: resolves the rank-`k` (0-based, ascending id) global
-  /// candidate. `counts` are the per-shard candidate counts just gathered.
-  Result<NodeId> ResolveRank(uint32_t run, uint32_t seed_idx, uint32_t step,
-                             uint64_t k, const std::vector<uint64_t>& counts,
-                             FormCommStats* acc);
+  /// RANDOM policy: draws each live seed's rank from its stream and
+  /// resolves it to the global candidate id (kInvalidNode for a seed
+  /// without candidates) into *picks.
+  Status PickRandom(uint32_t run, uint32_t wave, uint32_t round,
+                    const std::vector<SeedState>& live,
+                    const std::vector<Message>& replies,
+                    std::vector<NodeId>* picks, FormCommStats* acc);
 
-  /// Final cost gather: assembles the directed distance matrix of `team`
+  /// Final cost gather: assembles each team's directed distance matrix
   /// from the owners' rows and evaluates (cost, objective) with the exact
   /// single-node loops (SBPH min-closure included).
-  Result<std::pair<uint32_t, uint64_t>> EvalCost(uint32_t run,
-                                                 uint32_t seed_idx,
-                                                 uint32_t step,
-                                                 const std::vector<NodeId>& team,
-                                                 FormCommStats* acc);
+  Status EvalCosts(uint32_t run, uint32_t wave,
+                   std::vector<TeamResult>* teams, FormCommStats* acc);
 
   const SignedGraph& graph_;
   const SkillAssignment& skills_;
@@ -149,7 +163,7 @@ class DistributedFormer {
   const DistOptions options_;
   ShardPlan plan_;
   /// Relation kind of the workers' oracles (probed from the factory at
-  /// construction); drives the SBPH min-closure in EvalCost.
+  /// construction); drives the SBPH min-closure in EvalCosts.
   bool sbph_ = false;
   std::unique_ptr<InProcessTransport> transport_;
   std::vector<std::unique_ptr<ShardWorker>> workers_;

@@ -107,17 +107,28 @@ class Reader {
 
 const char* MsgTypeName(MsgType t) {
   switch (t) {
-    case MsgType::kFormBegin: return "FormBegin";
-    case MsgType::kEvalStep: return "EvalStep";
-    case MsgType::kCandidateReply: return "CandidateReply";
-    case MsgType::kRowSlice: return "RowSlice";
-    case MsgType::kCountLe: return "CountLe";
-    case MsgType::kCountReply: return "CountReply";
-    case MsgType::kPickRank: return "PickRank";
-    case MsgType::kPickReply: return "PickReply";
-    case MsgType::kCostEval: return "CostEval";
-    case MsgType::kCostReply: return "CostReply";
-    case MsgType::kAbort: return "Abort";
+    case MsgType::kFormBegin:
+      return "FormBegin";
+    case MsgType::kEvalStep:
+      return "EvalStep";
+    case MsgType::kCandidateReply:
+      return "CandidateReply";
+    case MsgType::kRowSlice:
+      return "RowSlice";
+    case MsgType::kCountLe:
+      return "CountLe";
+    case MsgType::kCountReply:
+      return "CountReply";
+    case MsgType::kPickRank:
+      return "PickRank";
+    case MsgType::kPickReply:
+      return "PickReply";
+    case MsgType::kCostEval:
+      return "CostEval";
+    case MsgType::kCostReply:
+      return "CostReply";
+    case MsgType::kAbort:
+      return "Abort";
   }
   return "?";
 }
@@ -127,8 +138,8 @@ std::vector<uint8_t> EncodeMessage(const Message& msg) {
   PutU8(&out, static_cast<uint8_t>(msg.type));
   PutU32(&out, msg.src);
   PutU32(&out, msg.run);
-  PutU32(&out, msg.seed);
-  PutU32(&out, msg.step);
+  PutU32(&out, msg.wave);
+  PutU32(&out, msg.round);
   PutU8(&out, static_cast<uint8_t>(msg.status));
   if (msg.status != StatusCode::kOk) PutString(&out, msg.error);
   switch (msg.type) {
@@ -138,33 +149,36 @@ std::vector<uint8_t> EncodeMessage(const Message& msg) {
       PutU32(&out, msg.pool_cap);
       break;
     case MsgType::kEvalStep:
-      PutU32(&out, msg.new_member);
-      PutU32(&out, msg.skill);
+      PutVec(&out, msg.seeds);
+      PutVec(&out, msg.new_members);
+      PutVec(&out, msg.skills);
+      PutVec(&out, msg.rest_counts);
       PutVec(&out, msg.rest);
       break;
     case MsgType::kCandidateReply:
-      PutU64(&out, msg.count);
-      PutU8(&out, msg.has_best);
-      PutU32(&out, msg.best_id);
-      PutU64(&out, msg.best_score);
+      PutVec(&out, msg.counts);
+      PutVec(&out, msg.best_ids);
+      PutVec(&out, msg.best_scores);
       break;
     case MsgType::kRowSlice:
-      PutU32(&out, msg.new_member);
+      PutVec(&out, msg.members);
       PutVec(&out, msg.slice_comp);
       PutVec(&out, msg.slice_dist);
       break;
     case MsgType::kCountLe:
     case MsgType::kPickRank:
-      PutU64(&out, msg.arg);
+      PutVec(&out, msg.seeds);
+      PutVec(&out, msg.args);
       break;
     case MsgType::kCountReply:
-      PutU64(&out, msg.count);
+      PutVec(&out, msg.counts);
       break;
     case MsgType::kPickReply:
-      PutU32(&out, msg.best_id);
+      PutVec(&out, msg.best_ids);
       break;
     case MsgType::kCostEval:
       PutVec(&out, msg.team);
+      PutVec(&out, msg.team_sizes);
       break;
     case MsgType::kCostReply:
       PutVec(&out, msg.members);
@@ -187,8 +201,8 @@ bool DecodeMessage(std::span<const uint8_t> bytes, Message* out) {
   }
   *out = Message{};
   out->type = static_cast<MsgType>(type);
-  if (!r.U32(&out->src) || !r.U32(&out->run) || !r.U32(&out->seed) ||
-      !r.U32(&out->step) || !r.U8(&status)) {
+  if (!r.U32(&out->src) || !r.U32(&out->run) || !r.U32(&out->wave) ||
+      !r.U32(&out->round) || !r.U8(&status)) {
     return false;
   }
   if (status > static_cast<uint8_t>(StatusCode::kDeadlineExceeded)) {
@@ -204,35 +218,36 @@ bool DecodeMessage(std::span<const uint8_t> bytes, Message* out) {
       }
       break;
     case MsgType::kEvalStep:
-      if (!r.U32(&out->new_member) || !r.U32(&out->skill) ||
+      if (!r.Vec(&out->seeds) || !r.Vec(&out->new_members) ||
+          !r.Vec(&out->skills) || !r.Vec(&out->rest_counts) ||
           !r.Vec(&out->rest)) {
         return false;
       }
       break;
     case MsgType::kCandidateReply:
-      if (!r.U64(&out->count) || !r.U8(&out->has_best) ||
-          !r.U32(&out->best_id) || !r.U64(&out->best_score)) {
+      if (!r.Vec(&out->counts) || !r.Vec(&out->best_ids) ||
+          !r.Vec(&out->best_scores)) {
         return false;
       }
       break;
     case MsgType::kRowSlice:
-      if (!r.U32(&out->new_member) || !r.Vec(&out->slice_comp) ||
+      if (!r.Vec(&out->members) || !r.Vec(&out->slice_comp) ||
           !r.Vec(&out->slice_dist)) {
         return false;
       }
       break;
     case MsgType::kCountLe:
     case MsgType::kPickRank:
-      if (!r.U64(&out->arg)) return false;
+      if (!r.Vec(&out->seeds) || !r.Vec(&out->args)) return false;
       break;
     case MsgType::kCountReply:
-      if (!r.U64(&out->count)) return false;
+      if (!r.Vec(&out->counts)) return false;
       break;
     case MsgType::kPickReply:
-      if (!r.U32(&out->best_id)) return false;
+      if (!r.Vec(&out->best_ids)) return false;
       break;
     case MsgType::kCostEval:
-      if (!r.Vec(&out->team)) return false;
+      if (!r.Vec(&out->team) || !r.Vec(&out->team_sizes)) return false;
       break;
     case MsgType::kCostReply:
       if (!r.Vec(&out->members) || !r.Vec(&out->dists)) return false;

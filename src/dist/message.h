@@ -8,10 +8,12 @@
 // a real network transport would move) and exercises the exact
 // serialization a multi-process backend will need.
 //
-// Framing: a fixed header (type, source endpoint, run / seed / step epoch,
-// status) followed by type-specific fields. The epoch triple lets
-// receivers drop stale traffic after an aborted run; the status byte lets
-// a reply carry a typed tfsn::Status error instead of a result.
+// Seeds advance in waves (kWaveSeeds): one message of a wave round speaks
+// for every live seed of the wave at once, as parallel per-seed arrays in
+// seed order. Framing: a fixed header (type, source endpoint, run / wave /
+// round epoch, status) followed by type-specific fields. The epoch triple
+// lets receivers drop stale traffic after an aborted run; the status byte
+// lets a reply carry a typed tfsn::Status error instead of a result.
 
 #pragma once
 
@@ -26,19 +28,26 @@
 
 namespace tfsn {
 
-/// Message kinds of the per-step formation protocol (see README "Sharded
+/// Seeds per wave: wave w holds the run's seeds [w * kWaveSeeds,
+/// (w + 1) * kWaveSeeds), which take their greedy steps together. A worker
+/// holds row slices for one wave's members at a time, so this bounds its
+/// slice memory; one wave per run would hold every member's slice for the
+/// whole run.
+inline constexpr uint32_t kWaveSeeds = 64;
+
+/// Message kinds of the wave formation protocol (see README "Sharded
 /// formation" for the protocol diagram).
 enum class MsgType : uint8_t {
   kFormBegin = 1,       ///< coordinator -> all: task + per-run config
-  kEvalStep = 2,        ///< coordinator -> all: team delta + skill to fill
-  kCandidateReply = 3,  ///< worker -> coordinator: local count + local best
-  kRowSlice = 4,        ///< worker -> worker: new member's row, dest-restricted
-  kCountLe = 5,         ///< coordinator -> all: RANDOM rank probe (id <= x)
+  kEvalStep = 2,        ///< coordinator -> all: every live seed's step
+  kCandidateReply = 3,  ///< worker -> coordinator: per-seed count + best
+  kRowSlice = 4,        ///< worker -> worker: new members' restricted rows
+  kCountLe = 5,         ///< coordinator -> all: RANDOM rank probes (id <= x)
   kCountReply = 6,      ///< worker -> coordinator
-  kPickRank = 7,        ///< coordinator -> one worker: rank -> node id
+  kPickRank = 7,        ///< coordinator -> owners: local ranks -> node ids
   kPickReply = 8,       ///< worker -> coordinator
-  kCostEval = 9,        ///< coordinator -> all: final team, gather distances
-  kCostReply = 10,      ///< worker -> coordinator: owned rows of the team
+  kCostEval = 9,        ///< coordinator -> all: completed teams
+  kCostReply = 10,      ///< worker -> coordinator: owned rows of the teams
   kAbort = 11,          ///< coordinator -> all: drop the current run
 };
 
@@ -46,16 +55,17 @@ const char* MsgTypeName(MsgType t);
 
 /// One protocol message. A tagged union kept as one struct: only the
 /// fields of the active `type` are encoded / decoded, the rest stay at
-/// their defaults.
+/// their defaults. "Per seed" arrays are parallel: entry j of each speaks
+/// for the same seed, and a reply's entries follow its request's.
 struct Message {
   MsgType type = MsgType::kAbort;
   /// Sending endpoint: shard id, or num_shards for the coordinator.
   uint32_t src = 0;
-  /// Epoch: formation run id, seed index within the run, greedy step
-  /// within the seed. Receivers ignore messages from other epochs.
+  /// Epoch: formation run id, seed wave within the run, round within the
+  /// wave. Receivers ignore messages from other epochs.
   uint32_t run = 0;
-  uint32_t seed = 0;
-  uint32_t step = 0;
+  uint32_t wave = 0;
+  uint32_t round = 0;
   /// Replies: kOk or the typed failure the worker hit (with `error`).
   StatusCode status = StatusCode::kOk;
   std::string error;
@@ -65,34 +75,42 @@ struct Message {
   uint8_t user_policy = 0;
   uint32_t pool_cap = 0;
 
-  // kEvalStep: the member added by the previous step (the seed user at
-  // step 0), the skill to fill now, and the skills still uncovered after
-  // it (kMostCompatible's future-holder pool).
-  NodeId new_member = 0;
-  SkillId skill = 0;
+  // kEvalStep / kCountLe / kPickRank: the seeds spoken for, as indexes
+  // within the run, strictly ascending and inside the header's wave.
+  std::vector<uint32_t> seeds;
+  // kEvalStep, per seed: the member its previous step added (the seed user
+  // at its first step), the skill to fill now, and how many entries of the
+  // concatenated `rest` are its skills still uncovered after that one
+  // (kMostCompatible's future-holder pool).
+  std::vector<NodeId> new_members;
+  std::vector<SkillId> skills;
+  std::vector<uint32_t> rest_counts;
   std::vector<SkillId> rest;
+  // kCountLe / kPickRank, per seed: threshold id / local candidate rank.
+  std::vector<uint64_t> args;
 
-  // kCandidateReply / kCountReply / kPickReply
-  uint64_t count = 0;
-  uint8_t has_best = 0;
-  NodeId best_id = 0;
-  uint64_t best_score = 0;
+  // kCandidateReply, per seed: local candidate count, local best
+  // (kInvalidNode when there is none) and its score. kCountReply uses
+  // `counts` (candidates <= the threshold), kPickReply `best_ids`.
+  std::vector<uint64_t> counts;
+  std::vector<NodeId> best_ids;
+  std::vector<uint64_t> best_scores;
 
-  // kRowSlice: `new_member`'s compatibility row restricted to the
-  // destination shard's slice of the holder universe — comp bits packed
-  // 64 per word, one uint32 distance per universe node, both in the
-  // destination's ascending local-universe order.
+  // kRowSlice: the sender's owned members first seen in this wave round,
+  // and each one's compatibility row restricted to the destination
+  // shard's slice of the holder universe — comp bits packed 64 per word,
+  // one uint32 distance per slice node, both in the destination's
+  // ascending slice order, member after member.
+  std::vector<NodeId> members;
   std::vector<uint64_t> slice_comp;
   std::vector<uint32_t> slice_dist;
 
-  // kCountLe / kPickRank probe argument (threshold id / local rank).
-  uint64_t arg = 0;
-
-  // kCostEval / kCostReply: the final team (ascending), and the flat
-  // |members| x |team| directed distance matrix for the members this
-  // worker owns.
+  // kCostEval: the completed teams (each ascending), concatenated, with
+  // their sizes. kCostReply: for each team in order, for each member the
+  // worker owns in team order, the member's id in `members` and its
+  // directed distances to the whole team in `dists`.
   std::vector<NodeId> team;
-  std::vector<NodeId> members;
+  std::vector<uint32_t> team_sizes;
   std::vector<uint32_t> dists;
 };
 
@@ -101,6 +119,7 @@ std::vector<uint8_t> EncodeMessage(const Message& msg);
 
 /// Parses bytes produced by EncodeMessage. Returns false on truncated or
 /// malformed input (never reads out of bounds, *out left unspecified).
+/// Whatever it accepts re-encodes to exactly `bytes`.
 bool DecodeMessage(std::span<const uint8_t> bytes, Message* out);
 
 }  // namespace tfsn

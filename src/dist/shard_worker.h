@@ -1,17 +1,25 @@
 // A shard worker of the sharded formation engine.
 //
 // Each worker owns the compatibility rows of its ShardPlan partition: a
-// private oracle (and row cache) over the shared graph, prewarmed with the
-// owned slice of the task's holder universe at kFormBegin. Per greedy step
-// the worker evaluates *its* candidates — holders of the requested skill
-// that it owns, compatible with the whole current team — and replies with
-// the local argmax (or just the candidate count for the RANDOM policy).
-// Rows of remote team members arrive as kRowSlice messages from the
-// member's owner, restricted to this worker's universe slice, so candidate
-// evaluation never touches another shard's oracle.
+// private oracle (and row cache) over the shared graph. At kFormBegin it
+// prewarms its slice of the task's holder universe and lists its owned
+// holders of each task skill as slice indexes. Seeds advance in waves
+// (kWaveSeeds, message.h): per wave round one kEvalStep carries every
+// live seed's step, and the worker evaluates *its* candidates for each of
+// them — owned holders of the seed's skill, compatible with the seed's
+// whole team — and replies once with every seed's local best (or just
+// the candidate count for the RANDOM policy).
+// Rows of remote team members arrive as kRowSlice messages from their
+// owners, restricted to this worker's universe slice: one message per
+// owner per round, holding every owned member first seen in the wave.
+// Slices are kept for the current wave only, so candidate evaluation
+// never touches another shard's oracle and slice memory is bounded by a
+// wave's members.
 //
 // Run() is a single-threaded message loop over the transport; all worker
-// state is confined to that thread. The `dist.worker_stall` fault point
+// state is confined to that thread. Wire input is validated before it
+// touches any state: a malformed request gets a typed InvalidArgument
+// reply and the worker keeps serving. The `dist.worker_stall` fault point
 // makes the loop drop one (or more) received messages, modeling a stalled
 // worker: the coordinator's bounded gather then times out and the run
 // degrades to a typed error.
@@ -20,9 +28,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -62,25 +68,44 @@ class ShardWorker {
 
  private:
   /// A team member's row restricted to this shard's universe slice (comp
-  /// bits packed 64 per word, distances parallel to the slice).
+  /// bits packed 64 per word, distances parallel to the slice). Empty
+  /// until it is absorbed, and for members we never evaluate against.
   struct Slice {
     std::vector<uint64_t> comp;
     std::vector<uint32_t> dist;
   };
 
-  void Dispatch(const Message& msg);
+  /// A seed's team member: global id and its slice in slices_.
+  struct Member {
+    NodeId id;
+    const Slice* row;
+  };
+
+  void Dispatch(Message msg);
   void HandleFormBegin(const Message& msg);
   void HandleEvalStep(const Message& msg);
-  void HandleCountLe(const Message& msg);
-  void HandlePickRank(const Message& msg);
+  void HandleRankProbe(const Message& msg);
   void HandleCostEval(const Message& msg);
 
-  /// Makes `member`'s row slice available for candidate evaluation: owned
-  /// members are fetched from the oracle, restricted to every shard's
-  /// slice, and scattered to the peer shards; remote members are awaited
-  /// as kRowSlice messages (with a bounded wait). DeadlineExceeded /
-  /// Unavailable when the slice never arrives.
-  Status AbsorbNewMember(const Message& msg);
+  /// Checks a kEvalStep against the run before any state changes.
+  Status ValidateStep(const Message& msg) const;
+
+  /// Checks that a per-seed request's seeds ascend strictly inside its
+  /// wave and that `args` (when non-null) is parallel to them.
+  Status ValidateSeeds(const Message& msg,
+                       const std::vector<uint64_t>* args) const;
+
+  /// Appends the step's new members to their seeds' teams and makes
+  /// every member first seen in this wave available for evaluation:
+  /// owned ones are restricted to every shard's slice and sent to each
+  /// peer as one kRowSlice; remote ones are awaited from their owners
+  /// (bounded wait). DeadlineExceeded / Unavailable when a slice never
+  /// arrives.
+  Status AbsorbNewMembers(const Message& msg);
+
+  /// Copies the slices of `msg` (a kRowSlice of the current round) into
+  /// the members still waiting for one; counts them down in *missing.
+  Status AdoptSlices(const Message& msg, size_t* missing);
 
   /// The universe slice as greedy_step.h's row-access policy; pair
   /// semantics match CompatibilityOracle::Compatible/Distance, including
@@ -89,13 +114,13 @@ class ShardWorker {
 
   void Reply(const Message& req, MsgType type, Message msg);
   void ReplyError(const Message& req, MsgType type, const Status& st);
-  void ResetSeedState();
+  void ResetWave(uint32_t wave);
 
-  /// Parks a kRowSlice that raced ahead of the kFormBegin / kEvalStep it
-  /// belongs to (the owner can process its copy of a broadcast and
-  /// scatter before we have processed ours). Keyed by (run, seed,
-  /// member); AbsorbNewMember adopts it once our epoch catches up.
-  void BufferSlice(const Message& msg);
+  /// Parks a kRowSlice that raced ahead of the kEvalStep it belongs to
+  /// (the owner can process its copy of a broadcast and scatter before we
+  /// have processed ours); AbsorbNewMembers adopts it once our round
+  /// catches up. Provably stale slices are dropped.
+  void BufferSlice(Message msg);
 
   const uint32_t shard_;
   const SignedGraph& graph_;
@@ -118,23 +143,23 @@ class ShardWorker {
   /// within each shard); universe_by_shard_[shard_] is *our* slice — the
   /// only nodes we can ever evaluate as candidates.
   std::vector<std::vector<NodeId>> universe_by_shard_;
-  /// Universe node (owned by us) -> index into our slice; slice vectors
-  /// from peers are indexed by this. Lookups only (never iterated).
-  std::unordered_map<NodeId, uint32_t> local_index_;
+  /// Parallel to task_skills_: the skill's holders we own, as ascending
+  /// indexes into our slice — the per-step candidate scan.
+  std::vector<std::vector<uint32_t>> owned_holders_;
 
-  // ---- Seed state (reset at step 0 of each seed) -------------------------
-  uint32_t seed_ = 0;
-  std::vector<NodeId> team_;
-  /// Every team member's row restricted to our universe slice (kept only
-  /// while the slice is non-empty).
-  std::map<NodeId, Slice> slices_;
-  /// Early-arrival slices from the current or a future epoch, waiting for
-  /// this worker to catch up; pruned of stale epochs on adoption.
-  std::map<std::tuple<uint32_t, uint32_t, NodeId>, Slice> pending_slices_;
-  /// Candidates of the last kEvalStep (ascending); kCountLe / kPickRank
-  /// resolve the RANDOM policy's global rank against this list.
-  std::vector<NodeId> candidates_;
-  uint32_t candidates_step_ = 0;
+  // ---- Wave state (reset at round 0 of each wave) ------------------------
+  uint32_t wave_ = 0;
+  uint32_t round_ = 0;
+  /// Every member first seen in this wave, with its slice. Node-based, so
+  /// the Member pointers into it stay valid as it grows.
+  std::unordered_map<NodeId, Slice> slices_;
+  /// Per wave position (seed index mod kWaveSeeds): the seed's team.
+  std::vector<std::vector<Member>> teams_;
+  /// Per wave position: the RANDOM policy's candidates of the seed's step
+  /// this round (ascending ids), which kCountLe / kPickRank resolve.
+  std::vector<std::vector<NodeId>> candidates_;
+  /// kRowSlice messages that raced ahead of their round.
+  std::vector<Message> early_slices_;
 };
 
 }  // namespace tfsn

@@ -5,8 +5,8 @@
 // and the transport keeps a CommStats ledger of everything it moved —
 // split into the *control plane* (any message to or from the coordinator:
 // broadcasts, per-shard bests, rank probes — the traffic that must stay
-// O(S * team_size) per step) and the *data plane* (worker-to-worker row
-// slices, which legitimately scale with the holder universe).
+// O(S * team_size) per seed-step) and the *data plane* (worker-to-worker
+// row slices, which legitimately scale with the holder universe).
 //
 // InProcessTransport is the threads-as-shards implementation: one mutex +
 // condvar mailbox per endpoint, bounded-timeout receives, and the

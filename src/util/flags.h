@@ -2,8 +2,8 @@
 //
 // Supports --name=value and --name value forms plus boolean --name.
 // Dashes and underscores in flag names are interchangeable (--batch-cap
-// == --batch_cap); lookups may use either spelling. Unknown flags are
-// collected so google-benchmark flags can pass through.
+// == --batch_cap); lookups may use either spelling. Positional arguments
+// (tfsn_cli's command) are kept in order in passthrough().
 
 #pragma once
 

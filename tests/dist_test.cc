@@ -152,11 +152,13 @@ std::vector<Message> SampleMessages() {
     m.type = MsgType::kEvalStep;
     m.src = 4;
     m.run = 7;
-    m.seed = 2;
-    m.step = 5;
-    m.new_member = 42;
-    m.skill = 3;
-    m.rest = {1, 9};
+    m.wave = 1;
+    m.round = 5;
+    m.seeds = {64, 66, 127};
+    m.new_members = {42, 17, 42};
+    m.skills = {3, 9, 1};
+    m.rest_counts = {2, 0, 1};
+    m.rest = {1, 9, 3};
     msgs.push_back(m);
   }
   {
@@ -164,12 +166,11 @@ std::vector<Message> SampleMessages() {
     m.type = MsgType::kCandidateReply;
     m.src = 1;
     m.run = 7;
-    m.seed = 2;
-    m.step = 5;
-    m.count = 11;
-    m.has_best = 1;
-    m.best_id = 17;
-    m.best_score = 3;
+    m.wave = 1;
+    m.round = 5;
+    m.counts = {11, 0, 2};
+    m.best_ids = {17, kInvalidNode, 5};
+    m.best_scores = {3, 0, 1ULL << 40};
     msgs.push_back(m);
   }
   {
@@ -177,9 +178,9 @@ std::vector<Message> SampleMessages() {
     m.type = MsgType::kRowSlice;
     m.src = 0;
     m.run = 7;
-    m.seed = 2;
-    m.step = 5;
-    m.new_member = 42;
+    m.wave = 1;
+    m.round = 5;
+    m.members = {42, 17};
     m.slice_comp = {0xdeadbeefULL, 0x1ULL};
     m.slice_dist = {1, 2, kUnreachable, 0};
     msgs.push_back(m);
@@ -189,7 +190,45 @@ std::vector<Message> SampleMessages() {
     m.type = MsgType::kCountLe;
     m.src = 4;
     m.run = 7;
-    m.arg = 63;
+    m.seeds = {0, 3};
+    m.args = {63, 1999};
+    msgs.push_back(m);
+  }
+  {
+    Message m;
+    m.type = MsgType::kCountReply;
+    m.src = 2;
+    m.run = 7;
+    m.counts = {4, 0};
+    msgs.push_back(m);
+  }
+  {
+    Message m;
+    m.type = MsgType::kPickRank;
+    m.src = 4;
+    m.run = 7;
+    m.wave = 2;
+    m.seeds = {130};
+    m.args = {2};
+    msgs.push_back(m);
+  }
+  {
+    Message m;
+    m.type = MsgType::kPickReply;
+    m.src = 0;
+    m.run = 7;
+    m.wave = 2;
+    m.best_ids = {1234};
+    msgs.push_back(m);
+  }
+  {
+    Message m;
+    m.type = MsgType::kCostEval;
+    m.src = 4;
+    m.run = 7;
+    m.wave = 3;
+    m.team = {5, 9, 2, 8, 11};
+    m.team_sizes = {2, 3};
     msgs.push_back(m);
   }
   {
@@ -197,8 +236,16 @@ std::vector<Message> SampleMessages() {
     m.type = MsgType::kCostReply;
     m.src = 2;
     m.run = 7;
+    m.wave = 3;
     m.members = {5, 9};
     m.dists = {0, 1, 3, 1, 0, 2};
+    msgs.push_back(m);
+  }
+  {
+    Message m;
+    m.type = MsgType::kAbort;
+    m.src = 4;
+    m.run = 7;
     msgs.push_back(m);
   }
   {
@@ -221,25 +268,27 @@ TEST(MessageCodecTest, RoundTripsEveryType) {
     EXPECT_EQ(got.type, m.type);
     EXPECT_EQ(got.src, m.src);
     EXPECT_EQ(got.run, m.run);
-    EXPECT_EQ(got.seed, m.seed);
-    EXPECT_EQ(got.step, m.step);
+    EXPECT_EQ(got.wave, m.wave);
+    EXPECT_EQ(got.round, m.round);
     EXPECT_EQ(got.status, m.status);
     EXPECT_EQ(got.error, m.error);
     EXPECT_EQ(got.task_skills, m.task_skills);
     EXPECT_EQ(got.user_policy, m.user_policy);
     EXPECT_EQ(got.pool_cap, m.pool_cap);
-    EXPECT_EQ(got.new_member, m.new_member);
-    EXPECT_EQ(got.skill, m.skill);
+    EXPECT_EQ(got.seeds, m.seeds);
+    EXPECT_EQ(got.new_members, m.new_members);
+    EXPECT_EQ(got.skills, m.skills);
+    EXPECT_EQ(got.rest_counts, m.rest_counts);
     EXPECT_EQ(got.rest, m.rest);
-    EXPECT_EQ(got.count, m.count);
-    EXPECT_EQ(got.has_best, m.has_best);
-    EXPECT_EQ(got.best_id, m.best_id);
-    EXPECT_EQ(got.best_score, m.best_score);
+    EXPECT_EQ(got.args, m.args);
+    EXPECT_EQ(got.counts, m.counts);
+    EXPECT_EQ(got.best_ids, m.best_ids);
+    EXPECT_EQ(got.best_scores, m.best_scores);
+    EXPECT_EQ(got.members, m.members);
     EXPECT_EQ(got.slice_comp, m.slice_comp);
     EXPECT_EQ(got.slice_dist, m.slice_dist);
-    EXPECT_EQ(got.arg, m.arg);
     EXPECT_EQ(got.team, m.team);
-    EXPECT_EQ(got.members, m.members);
+    EXPECT_EQ(got.team_sizes, m.team_sizes);
     EXPECT_EQ(got.dists, m.dists);
   }
 }
@@ -266,6 +315,45 @@ TEST(MessageCodecTest, TruncationAndGarbageNeverCrash) {
     Message got;
     DecodeMessage(junk, &got);  // any result is fine; no crash, no UB
   }
+}
+
+TEST(MessageCodecTest, MutatedEncodingsDecodeInBoundsAndReencodeExactly) {
+  // Seeded mutations of a valid encoding of every message type: bit
+  // flips, truncations and inserted bytes. The decoder must stay in
+  // bounds (the ASan job runs this), and whatever it accepts must be the
+  // one encoding of what it decoded.
+  Rng rng(2718);
+  size_t accepted = 0;
+  for (const Message& m : SampleMessages()) {
+    const std::vector<uint8_t> valid = EncodeMessage(m);
+    for (int trial = 0; trial < 400; ++trial) {
+      std::vector<uint8_t> bytes = valid;
+      const uint64_t edits = 1 + rng.NextBounded(3);
+      for (uint64_t e = 0; e < edits && !bytes.empty(); ++e) {
+        switch (rng.NextBounded(3)) {
+          case 0:  // flip one bit
+            bytes[rng.NextBounded(bytes.size())] ^=
+                static_cast<uint8_t>(1u << rng.NextBounded(8));
+            break;
+          case 1:  // truncate
+            bytes.resize(rng.NextBounded(bytes.size()));
+            break;
+          default:  // insert a byte
+            bytes.insert(bytes.begin() + rng.NextBounded(bytes.size() + 1),
+                         static_cast<uint8_t>(rng.NextBounded(256)));
+            break;
+        }
+      }
+      Message got;
+      if (!DecodeMessage(bytes, &got)) continue;
+      ++accepted;
+      EXPECT_EQ(EncodeMessage(got), bytes)
+          << MsgTypeName(m.type) << " trial " << trial;
+    }
+  }
+  // Flips inside array payloads keep the frame valid, so some mutants
+  // must decode: the re-encoding check is not vacuous.
+  EXPECT_GT(accepted, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -412,6 +500,70 @@ TEST(DistIdentityTest, SeedCapCostKindsAndPoolThinning) {
       ExpectSameResult(*got, reference.Form(task, &rng_a),
                        CostKindName(cost_kind));
       EXPECT_EQ(rng_a.Next(), rng_b.Next()) << CostKindName(cost_kind);
+    }
+  }
+}
+
+TEST(DistIdentityTest, BitIdenticalAcrossSeedWaves) {
+  // Every other instance here has fewer than kWaveSeeds seeds per task.
+  // Here the first skill has more than two waves of holders, and not a
+  // whole number of waves, so the last wave is ragged; the cap of 100
+  // samples seeds across the first wave boundary. Under SPM every seed
+  // completes; under DPE about half dead-end, leaving their waves early.
+  constexpr uint32_t kNodes = 420;
+  Rng rng(191);
+  const SignedGraph graph =
+      RandomConnectedGnm(kNodes, uint64_t{kNodes} * 3, 0.2, &rng);
+  std::vector<std::vector<SkillId>> held(kNodes);
+  for (NodeId v = 0; v < kNodes; ++v) {
+    for (SkillId s = 0; s < 4; ++s) {
+      if (rng.NextBounded(100) < 36) held[v].push_back(s);
+    }
+  }
+  Result<SkillAssignment> skills = SkillAssignment::Create(held, 4);
+  ASSERT_TRUE(skills.ok());
+  const Task task(std::vector<SkillId>{0, 1, 2, 3});
+  uint32_t rarest = ~0u;
+  for (SkillId s = 0; s < 4; ++s) {
+    rarest = std::min(rarest, skills->Frequency(s));
+  }
+  ASSERT_GT(rarest, 2 * kWaveSeeds);
+  ASSERT_NE(rarest % kWaveSeeds, 0u);
+
+  for (CompatKind kind : {CompatKind::kSPM, CompatKind::kDPE}) {
+    auto oracle = MakeOracle(graph, kind);
+    for (UserPolicy up :
+         {UserPolicy::kMinDistance, UserPolicy::kMostCompatible,
+          UserPolicy::kRandom}) {
+      for (uint32_t max_seeds : {0u, 100u}) {
+        GreedyParams params = PolicyParams(SkillPolicy::kRarest, up);
+        params.max_seeds = max_seeds;
+        GreedyTeamFormer reference(oracle.get(), *skills, nullptr, params);
+        Rng rng_a(7000 + max_seeds);
+        const TeamResult want = reference.Form(task, &rng_a);
+        const uint64_t want_next = rng_a.Next();
+        ASSERT_EQ(want.seeds_tried, max_seeds == 0 ? rarest : max_seeds);
+        for (uint32_t shards : {1u, 3u}) {
+          for (ShardStrategy strategy :
+               {ShardStrategy::kHash, ShardStrategy::kRange}) {
+            const std::string what =
+                std::string(CompatKindName(kind)) + "/" + UserPolicyName(up) +
+                "/max_seeds=" + std::to_string(max_seeds) + "/S=" +
+                std::to_string(shards) + "/" + ShardStrategyName(strategy);
+            DistributedFormer dist(graph, *skills, nullptr, params,
+                                   Options(shards, strategy, kind));
+            Rng rng_b(7000 + max_seeds);
+            FormCommStats comm;
+            const Result<TeamResult> got = dist.Form(task, &rng_b, &comm);
+            ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+            ExpectSameResult(*got, want, what);
+            EXPECT_EQ(ResultDigest(*got), ResultDigest(want)) << what;
+            EXPECT_EQ(rng_b.Next(), want_next) << what;
+            // A round carries the steps of a whole wave's live seeds.
+            EXPECT_LT(comm.rounds, comm.steps) << what;
+          }
+        }
+      }
     }
   }
 }
@@ -587,7 +739,7 @@ TEST(TransportHammerTest, ConcurrentSendRecvKeepsLedgerConsistent) {
         Message m;
         m.type = MsgType::kCountLe;
         m.src = p % (kShards + 1);
-        m.arg = uint64_t{p} << 32 | i;
+        m.args = {uint64_t{p} << 32 | i};
         ASSERT_TRUE(transport.Send(m.src, (p + i) % (kShards + 1), m).ok());
       }
     });
@@ -647,33 +799,149 @@ TEST(ShardWorkerTest, StepSkillOutsideTheTaskGetsTypedErrorReply) {
   begin.task_skills = {0, 1};
   begin.user_policy = static_cast<uint8_t>(UserPolicy::kMinDistance);
   ASSERT_TRUE(transport.Send(coordinator, 0, begin).ok());
+
+  // Sends a step to the worker and waits for its reply.
+  std::vector<Status> recv_status;
+  std::vector<Message> replies;
+  const auto exchange = [&](const Message& step) {
+    ASSERT_TRUE(transport.Send(coordinator, 0, step).ok());
+    Message reply;
+    recv_status.push_back(transport.Recv(coordinator, 10'000, &reply));
+    replies.push_back(reply);
+  };
   Message step;
   step.type = MsgType::kEvalStep;
   step.src = coordinator;
   step.run = 1;
-  step.new_member = inst.skills.Holders(0)[0];
-  step.skill = 5;  // a valid skill id, but not one of the run's task
-  ASSERT_TRUE(transport.Send(coordinator, 0, step).ok());
-  Message bad;
-  const Status got_bad = transport.Recv(coordinator, 10'000, &bad);
+  step.seeds = {0};
+  step.new_members = {inst.skills.Holders(0)[0]};
+  step.skills = {5};  // a valid skill id, but not one of the run's task
+  step.rest_counts = {0};
+  exchange(step);
   // The worker keeps serving the run: the same step with a task skill
   // gets a normal reply.
-  step.skill = 1;
-  ASSERT_TRUE(transport.Send(coordinator, 0, step).ok());
-  Message good;
-  const Status got_good = transport.Recv(coordinator, 10'000, &good);
+  step.skills = {1};
+  exchange(step);
+
+  // A wave step whose per-seed arrays disagree in length, one naming a
+  // seed outside its wave, and one naming a member outside the graph are
+  // each refused as a whole...
+  Message two = step;
+  two.seeds = {0, 1};
+  two.skills = {1, 1};
+  two.rest_counts = {0, 0};
+  exchange(two);  // one new member for two seeds
+  Message outside = step;
+  outside.seeds = {kWaveSeeds};
+  exchange(outside);
+  Message stranger = step;
+  stranger.new_members = {inst.graph.num_nodes()};
+  exchange(stranger);
+  // ...and a valid wave step is still served.
+  two.new_members = {inst.skills.Holders(0)[0], inst.skills.Holders(1)[0]};
+  exchange(two);
+  // The round's rank probes are checked the same way.
+  Message probe;
+  probe.type = MsgType::kCountLe;
+  probe.src = coordinator;
+  probe.run = 1;
+  probe.seeds = {0, 1};
+  probe.args = {7};  // one threshold for two seeds
+  exchange(probe);
+  probe.args = {7, 7};
+  exchange(probe);
   transport.Close();
   thread.join();
 
-  ASSERT_TRUE(got_bad.ok()) << got_bad.ToString();
-  EXPECT_EQ(bad.type, MsgType::kCandidateReply);
-  EXPECT_EQ(bad.status, StatusCode::kInvalidArgument);
-  EXPECT_FALSE(bad.error.empty());
-  EXPECT_EQ(bad.count, 0u);
-  EXPECT_EQ(bad.has_best, 0);
-  ASSERT_TRUE(got_good.ok()) << got_good.ToString();
-  EXPECT_EQ(good.type, MsgType::kCandidateReply);
-  EXPECT_EQ(good.status, StatusCode::kOk);
+  struct Want {
+    MsgType type;
+    size_t seeds;  // 0: refused with InvalidArgument
+  };
+  const std::vector<Want> wants = {
+      {MsgType::kCandidateReply, 0}, {MsgType::kCandidateReply, 1},
+      {MsgType::kCandidateReply, 0}, {MsgType::kCandidateReply, 0},
+      {MsgType::kCandidateReply, 0}, {MsgType::kCandidateReply, 2},
+      {MsgType::kCountReply, 0},     {MsgType::kCountReply, 2},
+  };
+  ASSERT_EQ(replies.size(), wants.size());
+  for (size_t r = 0; r < replies.size(); ++r) {
+    SCOPED_TRACE("reply " + std::to_string(r));
+    ASSERT_TRUE(recv_status[r].ok()) << recv_status[r].ToString();
+    const Message& reply = replies[r];
+    EXPECT_EQ(reply.type, wants[r].type);
+    if (wants[r].seeds == 0) {
+      EXPECT_EQ(reply.status, StatusCode::kInvalidArgument);
+      EXPECT_FALSE(reply.error.empty());
+      EXPECT_TRUE(reply.counts.empty());
+      EXPECT_TRUE(reply.best_ids.empty());
+      continue;
+    }
+    EXPECT_EQ(reply.status, StatusCode::kOk);
+    EXPECT_EQ(reply.counts.size(), wants[r].seeds);
+    if (reply.type == MsgType::kCandidateReply) {
+      EXPECT_EQ(reply.best_ids.size(), wants[r].seeds);
+      EXPECT_EQ(reply.best_scores.size(), wants[r].seeds);
+    }
+  }
+}
+
+TEST(ShardWorkerTest, CostReplyNamesEveryOwnedRowInTeamOrder) {
+  // The coordinator places each cost row by its own plan and checks the
+  // member id sent with it, so the reply must list, team after team, each
+  // member the worker owns, in team order, with its distances to the team.
+  Instance inst = MakeInstance(40, 100, 0.2, 8, 181);
+  ShardPlan plan(ShardStrategy::kHash, inst.graph.num_nodes(), 2);
+  InProcessTransport transport(2);
+  ShardWorker worker(
+      0, inst.graph, inst.skills, plan, &transport,
+      [](const SignedGraph& g) { return MakeOracle(g, CompatKind::kSPM); },
+      ShardWorkerOptions{});
+  std::thread thread([&worker] { worker.Run(); });
+  const uint32_t coordinator = transport.coordinator();
+
+  Message begin;
+  begin.type = MsgType::kFormBegin;
+  begin.src = coordinator;
+  begin.run = 1;
+  begin.task_skills = {0};
+  ASSERT_TRUE(transport.Send(coordinator, 0, begin).ok());
+  Message eval;
+  eval.type = MsgType::kCostEval;
+  eval.src = coordinator;
+  eval.run = 1;
+  eval.team = {0, 1, 2, 3, 1, 4, 5};  // two teams share member 1
+  eval.team_sizes = {4, 3};
+  ASSERT_TRUE(transport.Send(coordinator, 0, eval).ok());
+  Message reply;
+  const Status got = transport.Recv(coordinator, 10'000, &reply);
+  transport.Close();
+  thread.join();
+
+  const auto oracle = MakeOracle(inst.graph, CompatKind::kSPM);
+  std::vector<NodeId> want_members;
+  std::vector<uint32_t> want_dists;
+  size_t at = 0;
+  for (uint32_t size : eval.team_sizes) {
+    for (size_t i = at; i < at + size; ++i) {
+      const NodeId x = eval.team[i];
+      if (plan.ShardOf(x) != 0) continue;
+      want_members.push_back(x);
+      const auto& row = oracle->GetRow(x);
+      for (size_t j = at; j < at + size; ++j) {
+        want_dists.push_back(x == eval.team[j] ? 0 : row.dist[eval.team[j]]);
+      }
+    }
+    at += size;
+  }
+  // Both shards own members, so the reply is a strict part of the teams.
+  ASSERT_FALSE(want_members.empty());
+  ASSERT_LT(want_members.size(), eval.team.size());
+
+  ASSERT_TRUE(got.ok()) << got.ToString();
+  EXPECT_EQ(reply.type, MsgType::kCostReply);
+  EXPECT_EQ(reply.status, StatusCode::kOk);
+  EXPECT_EQ(reply.members, want_members);
+  EXPECT_EQ(reply.dists, want_dists);
 }
 
 // ---------------------------------------------------------------------------
