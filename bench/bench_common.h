@@ -10,6 +10,11 @@
 //   --graph=<path>       use a real signed edge list instead (with
 //                        --num_skills=<n> Zipf skills)
 //   --csv                additionally emit CSV rows (Tables 1-3, Fig. 2)
+//
+// Standard output carries the paper's results alone; every timing goes to
+// standard error. At --scale=0.02 --datasets=slashdot the stdout of each
+// binary is pinned byte for byte by tests/golden/ (see tests/CMakeLists.txt
+// for the rule on changing it).
 
 #pragma once
 

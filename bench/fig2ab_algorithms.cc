@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
       std::fputs(solved.ToCsv().c_str(), stdout);
       std::fputs(diameter.ToCsv().c_str(), stdout);
     }
-    std::printf("(%.1fs)\n", timer.Seconds());
+    std::fprintf(stderr, "(%.1fs)\n", timer.Seconds());
   }
   return 0;
 }

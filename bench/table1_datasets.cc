@@ -46,8 +46,8 @@ double RunOnce(const std::vector<tfsn::Dataset>& datasets,
   if (print) {
     std::fputs(table.ToString().c_str(), stdout);
     if (flags.GetBool("csv")) std::fputs(table.ToCsv().c_str(), stdout);
-    std::printf("(~ marks double-sweep diameter estimates; %.1fs total)\n",
-                seconds);
+    std::printf("(~ marks double-sweep diameter estimates)\n");
+    std::fprintf(stderr, "(%.1fs total)\n", seconds);
   }
   return seconds;
 }
@@ -68,14 +68,15 @@ int main(int argc, char** argv) {
     if (i == 0) {
       baseline = seconds;
       if (thread_counts.size() > 1) {
-        std::printf("\nthread sweep (speedup vs --threads=%u):\n",
-                    thread_counts[0]);
-        std::printf("  threads=%-3u %6.2fs   1.00x\n", thread_counts[0],
-                    seconds);
+        std::fprintf(stderr, "\nthread sweep (speedup vs --threads=%u):\n",
+                     thread_counts[0]);
+        std::fprintf(stderr, "  threads=%-3u %6.2fs   1.00x\n",
+                     thread_counts[0], seconds);
       }
     } else {
-      std::printf("  threads=%-3u %6.2fs   %.2fx\n", thread_counts[i],
-                  seconds, seconds > 0 ? baseline / seconds : 0.0);
+      std::fprintf(stderr, "  threads=%-3u %6.2fs   %.2fx\n",
+                   thread_counts[i], seconds,
+                   seconds > 0 ? baseline / seconds : 0.0);
     }
   }
   std::printf(

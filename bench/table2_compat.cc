@@ -89,8 +89,10 @@ int main(int argc, char** argv) {
     std::fputs(table.ToString().c_str(), stdout);
     if (flags.GetBool("csv")) std::fputs(table.ToCsv().c_str(), stdout);
     for (const auto& c : cells) {
-      std::printf("  %-4s: %u sources, %.2fs", tfsn::CompatKindName(c.kind),
-                  c.sources_used, c.seconds);
+      std::printf("  %-4s: %u sources", tfsn::CompatKindName(c.kind),
+                  c.sources_used);
+      std::fprintf(stderr, "  %-4s: %.2fs\n", tfsn::CompatKindName(c.kind),
+                   c.seconds);
       if (c.rows_saturated > 0) {
         std::printf("  [%llu saturated rows]",
                     static_cast<unsigned long long>(c.rows_saturated));
@@ -105,19 +107,19 @@ int main(int argc, char** argv) {
                   sbp->comp_users_pct - sbph->comp_users_pct);
     }
     if (thread_counts.size() > 1) {
-      std::printf("  thread sweep (speedup vs --threads=%u):\n",
-                  thread_counts[0]);
-      std::printf("    threads=%-3u %6.2fs   1.00x\n", thread_counts[0],
-                  baseline_seconds);
+      std::fprintf(stderr, "  thread sweep (speedup vs --threads=%u):\n",
+                   thread_counts[0]);
+      std::fprintf(stderr, "    threads=%-3u %6.2fs   1.00x\n",
+                   thread_counts[0], baseline_seconds);
       for (size_t i = 1; i < thread_counts.size(); ++i) {
         tfsn::Table2Options sweep_options = options;
         sweep_options.threads = thread_counts[i];
         tfsn::Timer sweep_timer;
         tfsn::RunTable2(ds, sweep_options);
         double seconds = sweep_timer.Seconds();
-        std::printf("    threads=%-3u %6.2fs   %.2fx\n", thread_counts[i],
-                    seconds,
-                    seconds > 0 ? baseline_seconds / seconds : 0.0);
+        std::fprintf(stderr, "    threads=%-3u %6.2fs   %.2fx\n",
+                     thread_counts[i], seconds,
+                     seconds > 0 ? baseline_seconds / seconds : 0.0);
       }
     }
   }

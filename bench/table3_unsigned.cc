@@ -53,9 +53,9 @@ int main(int argc, char** argv) {
     }
     std::fputs(table.ToString().c_str(), stdout);
     if (flags.GetBool("csv")) std::fputs(table.ToCsv().c_str(), stdout);
-    std::printf("(%.1fs; paper row: ignore 0/2/2/26/30, delete 0/2/18/66/76;"
-                " SBPH stands in for SBP at this scale)\n",
-                timer.Seconds());
+    std::printf("(paper row: ignore 0/2/2/26/30, delete 0/2/18/66/76;"
+                " SBPH stands in for SBP at this scale)\n");
+    std::fprintf(stderr, "(%.1fs)\n", timer.Seconds());
   }
   return 0;
 }

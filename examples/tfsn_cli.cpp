@@ -4,7 +4,7 @@
 //   tfsn_cli compat  --dataset=slashdot --u=3 --v=17 [--relation=spm]
 //   tfsn_cli team    --dataset=epinions --scale=0.05 --skills=1,4,9
 //                    [--relation=spm] [--algorithm=lcmd|lcmc|random] [--topk=3]
-//                    [--shards=S] [--shard-strategy=hash|range]  (alias: form)
+//                    [--shards=S]  (alias: form)
 //   tfsn_cli serve   --dataset=epinions --scale=0.08 --qps=50 --duration=5
 //                    [--workers=2] [--batch-cap=16] [--seed=1] [--replay]
 //                    [--compress=on] [--spill-dir=D] [--prewarm-frac=0.1]
@@ -75,11 +75,11 @@ int Usage() {
                "  compat --u=A --v=B         pair compatibility verdicts\n"
                "  team --skills=1,2,3        form a team [--relation=spm]\n"
                "       [--algorithm=lcmd]    lcmd|lcmc|random\n"
-               "       [--topk=K]            emit the K best teams\n"
+               "       [--topk=K]            emit the K best distinct teams\n"
+               "                             (K > 1; not with --shards)\n"
                "       [--shards=S]          sharded engine with S workers\n"
                "                             (alias: form; prints a comm\n"
                "                             summary; teams bit-identical)\n"
-               "       [--shard-strategy=hash]  hash|range partitioning\n"
                "  serve                      run the team-formation server\n"
                "       [--qps=50]            open-loop arrival rate\n"
                "       [--duration=5]        seconds of offered load\n"
@@ -251,45 +251,36 @@ int CmdTeam(const Flags& flags) {
   params.max_seeds = static_cast<uint32_t>(flags.GetInt("max_seeds", 25));
   GreedyTeamFormer former(oracle.get(), ds.skills, &index, params);
 
+  // Without --topk, team #1 is Form's answer, which every engine returns:
   // --shards routes the formation through the sharded engine (bit-identical
-  // teams; see README "Sharded formation"). Implies --topk=1.
+  // teams; see README "Sharded formation"). --topk=K above 1 lists FormTopK's
+  // K best distinct teams, which only the single-node former enumerates.
+  const uint32_t topk = static_cast<uint32_t>(flags.GetInt("topk", 1));
   const uint32_t shards = static_cast<uint32_t>(flags.GetInt("shards", 0));
-  if (shards > 0) {
+  if (topk > 1 && shards > 0) {
+    std::fprintf(stderr, "--topk above 1 cannot be combined with --shards\n");
+    return 1;
+  }
+  std::vector<TeamResult> teams;
+  FormCommStats comm;
+  if (topk > 1) {
+    teams = former.FormTopK(task, topk, &rng);
+  } else if (shards > 0) {
     DistOptions dist_options;
     dist_options.num_shards = shards;
-    const std::string strategy = flags.GetString("shard_strategy", "hash");
-    if (!ParseShardStrategy(strategy, &dist_options.strategy)) {
-      std::fprintf(stderr, "--shard-strategy takes hash|range, got '%s'\n",
-                   strategy.c_str());
-      return 1;
-    }
     dist_options.oracle_factory = OracleFactoryFor(kind);
     DistributedFormer dist(ds.graph, ds.skills, &index, params, dist_options);
-    FormCommStats comm;
-    const Result<TeamResult> result = dist.Form(task, &rng, &comm);
+    Result<TeamResult> result = dist.Form(task, &rng, &comm);
     if (!result.ok()) {
       std::fprintf(stderr, "sharded formation failed: %s\n",
                    result.status().ToString().c_str());
       return 2;
     }
-    if (!result->found) {
-      std::printf("no compatible team found under %s\n", CompatKindName(kind));
-      return 2;
-    }
-    std::printf("team #1 (diameter %u):", result->cost);
-    for (NodeId member : result->members) std::printf(" %u", member);
-    std::printf("\n");
-    std::printf("comm: %u shards (%s), %" PRIu64 " steps, %" PRIu64
-                " rounds, %" PRIu64 " msgs, %" PRIu64 " ctrl B, %" PRIu64
-                " data B, %" PRIu64 " dropped\n",
-                shards, ShardStrategyName(dist_options.strategy), comm.steps,
-                comm.rounds, comm.comm.messages_sent, comm.comm.control_bytes,
-                comm.comm.data_bytes, comm.comm.messages_dropped);
-    return 0;
+    if (result->found) teams.push_back(std::move(result).ValueOrDie());
+  } else {
+    TeamResult best = former.Form(task, &rng);
+    if (best.found) teams.push_back(std::move(best));
   }
-
-  uint32_t topk = static_cast<uint32_t>(flags.GetInt("topk", 1));
-  auto teams = former.FormTopK(task, topk, &rng);
   if (teams.empty()) {
     std::printf("no compatible team found under %s\n", CompatKindName(kind));
     return 2;
@@ -299,6 +290,14 @@ int CmdTeam(const Flags& flags) {
     std::printf("team #%zu (diameter %u):", rank + 1, team.cost);
     for (NodeId member : team.members) std::printf(" %u", member);
     std::printf("\n");
+  }
+  if (shards > 0) {
+    std::printf("comm: %u shards, %" PRIu64 " steps, %" PRIu64
+                " rounds, %" PRIu64 " msgs, %" PRIu64 " ctrl B, %" PRIu64
+                " data B, %" PRIu64 " dropped\n",
+                shards, comm.steps, comm.rounds, comm.comm.messages_sent,
+                comm.comm.control_bytes, comm.comm.data_bytes,
+                comm.comm.messages_dropped);
   }
   return 0;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -24,7 +25,7 @@ DistributedFormer::DistributedFormer(const SignedGraph& graph,
   if (params_.skill_policy == SkillPolicy::kLeastCompatible) {
     TFSN_CHECK(index != nullptr);
   }
-  plan_ = ShardPlan(options_.strategy, graph.num_nodes(), options_.num_shards);
+  plan_ = ShardPlan(graph.num_nodes(), options_.num_shards);
   {
     std::unique_ptr<CompatibilityOracle> probe = options_.oracle_factory(graph);
     TFSN_CHECK(probe != nullptr);
@@ -33,12 +34,10 @@ DistributedFormer::DistributedFormer(const SignedGraph& graph,
   transport_ = std::make_unique<InProcessTransport>(options_.num_shards);
   ShardWorkerOptions wopts;
   wopts.recv_timeout_ms = options_.recv_timeout_ms;
-  all_shards_.reserve(options_.num_shards);
   for (uint32_t t = 0; t < options_.num_shards; ++t) {
     workers_.push_back(std::make_unique<ShardWorker>(
         t, graph, skills, plan_, transport_.get(), options_.oracle_factory,
         wopts));
-    all_shards_.push_back(t);
   }
   threads_.reserve(workers_.size());
   for (auto& w : workers_) {
@@ -72,12 +71,11 @@ void DistributedFormer::AbortRun(uint32_t run) {
 }
 
 Result<std::vector<Message>> DistributedFormer::Gather(
-    uint32_t run, uint32_t wave, uint32_t round, MsgType want,
-    const std::vector<uint32_t>& from) {
+    uint32_t run, uint32_t wave, uint32_t round, MsgType want) {
   const uint32_t num_shards = options_.num_shards;
   std::vector<Message> replies(num_shards);
   std::vector<uint8_t> got(num_shards, 0);
-  size_t remaining = from.size();
+  size_t remaining = num_shards;
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(options_.recv_timeout_ms);
   while (remaining > 0) {
@@ -121,11 +119,71 @@ Status MalformedReply(uint32_t shard, MsgType type) {
 
 }  // namespace
 
+Status DistributedFormer::SelectUsers(uint32_t run, uint32_t wave,
+                                      uint32_t round,
+                                      std::span<const SeedStep> live,
+                                      std::span<Rng> rngs,
+                                      std::span<NodeId> picks,
+                                      FormCommStats* acc) {
+  Message ev;
+  ev.type = MsgType::kEvalStep;
+  ev.run = run;
+  ev.wave = wave;
+  ev.round = round;
+  // Only kMostCompatible reads the skills left after this one (its
+  // future-holder pool), so only it puts them on the wire.
+  const bool pool = params_.user_policy == UserPolicy::kMostCompatible;
+  for (const SeedStep& s : live) {
+    ev.seeds.push_back(wave * kWaveSeeds + s.slot);
+    ev.new_members.push_back(s.team.back());
+    ev.skills.push_back(s.skill);
+    const std::span<const SkillId> rest =
+        pool ? s.rest : std::span<const SkillId>();
+    ev.rest.insert(ev.rest.end(), rest.begin(), rest.end());
+    ev.rest_counts.push_back(static_cast<uint32_t>(rest.size()));
+  }
+  TFSN_RETURN_NOT_OK(Broadcast(std::move(ev)));
+  ++acc->rounds;
+  acc->steps += live.size();
+  TFSN_ASSIGN_OR_RETURN(
+      std::vector<Message> replies,
+      Gather(run, wave, round, MsgType::kCandidateReply));
+  for (uint32_t t = 0; t < options_.num_shards; ++t) {
+    const Message& r = replies[t];
+    if (r.counts.size() != live.size() || r.best_ids.size() != live.size() ||
+        r.best_scores.size() != live.size()) {
+      return MalformedReply(t, MsgType::kCandidateReply);
+    }
+  }
+  if (params_.user_policy == UserPolicy::kRandom) {
+    return PickRandom(run, wave, round, live, rngs, replies, picks, acc);
+  }
+  // Merge each seed's per-shard bests with the global order-fixed
+  // tie-break.
+  const bool min_score = params_.user_policy == UserPolicy::kMinDistance;
+  for (size_t j = 0; j < live.size(); ++j) {
+    uint64_t best_score = 0;
+    for (uint32_t t = 0; t < options_.num_shards; ++t) {
+      const NodeId id = replies[t].best_ids[j];
+      if (id == kInvalidNode) continue;
+      const uint64_t score = replies[t].best_scores[j];
+      const bool better = min_score ? score < best_score : score > best_score;
+      if (picks[j] == kInvalidNode || better ||
+          (score == best_score && id < picks[j])) {
+        best_score = score;
+        picks[j] = id;
+      }
+    }
+  }
+  return Status::OK();
+}
+
 Status DistributedFormer::PickRandom(uint32_t run, uint32_t wave,
                                      uint32_t round,
-                                     const std::vector<SeedState>& live,
+                                     std::span<const SeedStep> live,
+                                     std::span<Rng> rngs,
                                      const std::vector<Message>& replies,
-                                     std::vector<NodeId>* picks,
+                                     std::span<NodeId> picks,
                                      FormCommStats* acc) {
   const uint32_t num_shards = options_.num_shards;
   // One NextBounded(total) per seed with a non-empty candidate set —
@@ -140,56 +198,13 @@ Status DistributedFormer::PickRandom(uint32_t run, uint32_t wave,
     uint64_t total = 0;
     for (uint32_t t = 0; t < num_shards; ++t) total += replies[t].counts[j];
     if (total == 0) continue;
-    TFSN_CHECK(live[j].rng != nullptr);
-    draws.push_back({j, live[j].rng->NextBounded(total)});
-  }
-  if (draws.empty()) return Status::OK();
-
-  if (plan_.IdOrderedByShard()) {
-    // Range plan: shard order is id order, so each global rank maps to a
-    // (shard, local rank) pair by prefix sums — one round for all seeds.
-    std::vector<Message> asks(num_shards);
-    std::vector<std::pair<uint32_t, size_t>> where(draws.size());
-    for (size_t d = 0; d < draws.size(); ++d) {
-      uint64_t k = draws[d].k;
-      uint32_t t = 0;
-      while (k >= replies[t].counts[draws[d].j]) {
-        k -= replies[t].counts[draws[d].j];
-        ++t;
-      }
-      where[d] = {t, asks[t].seeds.size()};
-      asks[t].seeds.push_back(live[draws[d].j].index);
-      asks[t].args.push_back(k);
-    }
-    std::vector<uint32_t> from;
-    for (uint32_t t = 0; t < num_shards; ++t) {
-      if (asks[t].seeds.empty()) continue;
-      asks[t].type = MsgType::kPickRank;
-      asks[t].src = transport_->coordinator();
-      asks[t].run = run;
-      asks[t].wave = wave;
-      asks[t].round = round;
-      TFSN_RETURN_NOT_OK(transport_->Send(asks[t].src, t, asks[t]));
-      from.push_back(t);
-    }
-    ++acc->rounds;
-    TFSN_ASSIGN_OR_RETURN(std::vector<Message> picked,
-                          Gather(run, wave, round, MsgType::kPickReply, from));
-    for (uint32_t t : from) {
-      if (picked[t].best_ids.size() != asks[t].seeds.size()) {
-        return MalformedReply(t, MsgType::kPickReply);
-      }
-    }
-    for (size_t d = 0; d < draws.size(); ++d) {
-      (*picks)[draws[d].j] = picked[where[d].first].best_ids[where[d].second];
-    }
-    return Status::OK();
+    TFSN_CHECK(live[j].slot < rngs.size());
+    draws.push_back({j, rngs[live[j].slot].NextBounded(total)});
   }
 
-  // Hash plan: ownership interleaves the id space, so binary-search each
-  // seed's smallest id x with |candidates <= x| >= k + 1. The searches
-  // advance in lockstep — one round of S messages per level, O(log n)
-  // levels.
+  // Ownership interleaves the id space, so binary-search each seed's
+  // smallest id x with |candidates <= x| >= k + 1. The searches advance in
+  // lockstep — one round of S messages per level, O(log n) levels.
   const uint64_t n = graph_.num_nodes();
   std::vector<uint64_t> lo(draws.size(), 0);
   std::vector<uint64_t> hi(draws.size(), n == 0 ? 0 : n - 1);
@@ -203,7 +218,7 @@ Status DistributedFormer::PickRandom(uint32_t run, uint32_t wave,
     for (size_t d = 0; d < draws.size(); ++d) {
       if (lo[d] >= hi[d]) continue;
       open.push_back(d);
-      probe.seeds.push_back(live[draws[d].j].index);
+      probe.seeds.push_back(wave * kWaveSeeds + live[draws[d].j].slot);
       probe.args.push_back(lo[d] + (hi[d] - lo[d]) / 2);
     }
     if (open.empty()) break;
@@ -211,7 +226,7 @@ Status DistributedFormer::PickRandom(uint32_t run, uint32_t wave,
     ++acc->rounds;
     TFSN_ASSIGN_OR_RETURN(
         std::vector<Message> counted,
-        Gather(run, wave, round, MsgType::kCountReply, all_shards_));
+        Gather(run, wave, round, MsgType::kCountReply));
     for (uint32_t t = 0; t < num_shards; ++t) {
       if (counted[t].counts.size() != open.size()) {
         return MalformedReply(t, MsgType::kCountReply);
@@ -230,7 +245,7 @@ Status DistributedFormer::PickRandom(uint32_t run, uint32_t wave,
     }
   }
   for (size_t d = 0; d < draws.size(); ++d) {
-    (*picks)[draws[d].j] = static_cast<NodeId>(lo[d]);
+    picks[draws[d].j] = static_cast<NodeId>(lo[d]);
   }
   return Status::OK();
 }
@@ -250,7 +265,7 @@ Status DistributedFormer::EvalCosts(uint32_t run, uint32_t wave,
   ++acc->rounds;
   TFSN_ASSIGN_OR_RETURN(
       std::vector<Message> replies,
-      Gather(run, wave, 0, MsgType::kCostReply, all_shards_));
+      Gather(run, wave, 0, MsgType::kCostReply));
 
   // Each owner lists, team after team, the members it owns and their
   // directed distance rows. The plan is replicated, so the coordinator
@@ -302,120 +317,6 @@ Status DistributedFormer::EvalCosts(uint32_t run, uint32_t wave,
   return Status::OK();
 }
 
-Status DistributedFormer::RunWave(uint32_t run, uint32_t wave,
-                                  const Task& task,
-                                  const std::vector<NodeId>& seeds,
-                                  std::vector<Rng>* seed_rngs,
-                                  std::vector<TeamResult>* done,
-                                  FormCommStats* acc) {
-  const uint32_t first = wave * kWaveSeeds;
-  const uint32_t end = std::min<uint32_t>(first + kWaveSeeds,
-                                          static_cast<uint32_t>(seeds.size()));
-  // Per-seed result slots, appended in seed order at the end: the
-  // single-node merge order, whatever round each seed finishes in.
-  std::vector<TeamResult> slots(end - first);
-  const auto complete = [&](SeedState* s) {
-    TeamResult& slot = slots[s->index - first];
-    slot.found = true;
-    slot.members = std::move(s->team);
-    std::sort(slot.members.begin(), slot.members.end());
-  };
-  std::vector<SeedState> live;
-  for (uint32_t i = first; i < end; ++i) {
-    SeedState s{i, {seeds[i]}, SkillCoverage(task),
-                seed_rngs->empty() ? nullptr : &(*seed_rngs)[i]};
-    s.coverage.Cover(skills_.SkillsOf(seeds[i]));
-    if (s.coverage.AllCovered()) {
-      complete(&s);
-    } else {
-      live.push_back(std::move(s));
-    }
-  }
-
-  for (uint32_t round = 0; !live.empty(); ++round) {
-    Message ev;
-    ev.type = MsgType::kEvalStep;
-    ev.run = run;
-    ev.wave = wave;
-    ev.round = round;
-    for (const SeedState& s : live) {
-      const std::vector<SkillId> uncovered = s.coverage.Uncovered();
-      const SkillId skill = SelectSkillByPolicy(params_.skill_policy, skills_,
-                                                index_, uncovered);
-      ev.seeds.push_back(s.index);
-      ev.new_members.push_back(s.team.back());
-      ev.skills.push_back(skill);
-      uint32_t rest = 0;
-      if (params_.user_policy == UserPolicy::kMostCompatible) {
-        // Skills still uncovered after this one — the future-holder pool.
-        for (SkillId t : uncovered) {
-          if (t == skill) continue;
-          ev.rest.push_back(t);
-          ++rest;
-        }
-      }
-      ev.rest_counts.push_back(rest);
-    }
-    TFSN_RETURN_NOT_OK(Broadcast(std::move(ev)));
-    ++acc->rounds;
-    acc->steps += live.size();
-    TFSN_ASSIGN_OR_RETURN(
-        std::vector<Message> replies,
-        Gather(run, wave, round, MsgType::kCandidateReply, all_shards_));
-    for (uint32_t t = 0; t < options_.num_shards; ++t) {
-      const Message& r = replies[t];
-      if (r.counts.size() != live.size() ||
-          r.best_ids.size() != live.size() ||
-          r.best_scores.size() != live.size()) {
-        return MalformedReply(t, MsgType::kCandidateReply);
-      }
-    }
-
-    // Merge each seed's per-shard bests with the global order-fixed
-    // tie-break.
-    std::vector<NodeId> picks(live.size(), kInvalidNode);
-    if (params_.user_policy == UserPolicy::kRandom) {
-      TFSN_RETURN_NOT_OK(
-          PickRandom(run, wave, round, live, replies, &picks, acc));
-    } else {
-      const bool min_score = params_.user_policy == UserPolicy::kMinDistance;
-      for (size_t j = 0; j < live.size(); ++j) {
-        uint64_t best_score = 0;
-        for (uint32_t t = 0; t < options_.num_shards; ++t) {
-          const NodeId id = replies[t].best_ids[j];
-          if (id == kInvalidNode) continue;
-          const uint64_t score = replies[t].best_scores[j];
-          const bool better = min_score ? score < best_score
-                                        : score > best_score;
-          if (picks[j] == kInvalidNode || better ||
-              (score == best_score && id < picks[j])) {
-            best_score = score;
-            picks[j] = id;
-          }
-        }
-      }
-    }
-
-    std::vector<SeedState> next;
-    for (size_t j = 0; j < live.size(); ++j) {
-      SeedState& s = live[j];
-      if (picks[j] == kInvalidNode) continue;  // dead end, like single-node
-      s.team.push_back(picks[j]);
-      s.coverage.Cover(skills_.SkillsOf(picks[j]));
-      if (s.coverage.AllCovered()) {
-        complete(&s);
-      } else {
-        next.push_back(std::move(s));
-      }
-    }
-    live = std::move(next);
-  }
-  for (TeamResult& slot : slots) {
-    if (slot.found) done->push_back(std::move(slot));
-  }
-  return Status::OK();
-}
-
 Result<TeamResult> DistributedFormer::Form(const Task& task, Rng* rng,
                                            FormCommStats* comm) {
   FormCommStats acc;
@@ -450,11 +351,36 @@ Result<TeamResult> DistributedFormer::Form(const Task& task, Rng* rng,
   begin.pool_cap = params_.most_compatible_pool_cap;
   Status st = Broadcast(std::move(begin));
 
+  // Each wave runs through the shared completion loop, one message round
+  // per loop round. Found teams are appended in seed order: the
+  // single-node merge order.
   std::vector<TeamResult> candidates;
+  std::vector<std::vector<NodeId>> teams;
   const uint32_t waves =
       static_cast<uint32_t>((seeds.size() + kWaveSeeds - 1) / kWaveSeeds);
   for (uint32_t wave = 0; st.ok() && wave < waves; ++wave) {
-    st = RunWave(run, wave, task, seeds, &seed_rngs, &candidates, &acc);
+    const size_t offset = size_t{wave} * kWaveSeeds;
+    const size_t count = std::min<size_t>(kWaveSeeds, seeds.size() - offset);
+    const std::span<Rng> rngs =
+        seed_rngs.empty() ? std::span<Rng>()
+                          : std::span<Rng>(seed_rngs).subspan(offset, count);
+    teams.assign(count, {});
+    uint32_t round = 0;
+    st = CompleteSeeds(
+        skills_, index_, params_.skill_policy, task,
+        std::span<const NodeId>(seeds).subspan(offset, count),
+        [](NodeId v) { return v; },
+        [&](std::span<const SeedStep> live, std::span<NodeId> picks) {
+          return SelectUsers(run, wave, round++, live, rngs, picks, &acc);
+        },
+        std::span(teams));
+    if (!st.ok()) break;
+    for (std::vector<NodeId>& team : teams) {
+      if (team.empty()) continue;
+      TeamResult& found = candidates.emplace_back();
+      found.found = true;
+      found.members = std::move(team);
+    }
   }
   if (st.ok() && !candidates.empty()) {
     st = EvalCosts(run, waves, &candidates, &acc);

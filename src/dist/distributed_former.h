@@ -3,8 +3,10 @@
 // DistributedFormer partitions the holder universe across S shard workers
 // (ShardPlan + ShardWorker, threads-as-shards over InProcessTransport) and
 // runs Algorithm 2's seed loop as broadcast/gather rounds. Seeds are
-// independent until the final argmin, so they advance in waves of up to
-// kWaveSeeds (message.h), in seed order: per wave round the coordinator
+// independent until the final argmin, so the coordinator cuts them, in
+// seed order, into waves of up to kWaveSeeds and runs each wave through
+// the shared completion loop (CompleteSeeds, src/team/greedy_step.h).
+// Its user selection for a round is one message round: the coordinator
 // broadcasts one kEvalStep carrying every live seed's team delta and skill
 // to fill, each worker evaluates its local candidates for all of them and
 // answers once, and each seed's per-shard bests are merged with the global
@@ -14,10 +16,8 @@
 // global candidate list. The RANDOM policy gathers local candidate counts,
 // draws each seed's rank from the same per-seed forked rng stream the
 // single-node path consumes, and resolves every seed's k-th smallest
-// candidate id together: one kPickRank round for the range plan (prefix
-// sums), bisections in lockstep with one kCountLe round per level for the
-// hash plan. After the last wave one kCostEval round scores every
-// completed team.
+// candidate id by bisections in lockstep, one kCountLe round per level.
+// After the last wave one kCostEval round scores every completed team.
 //
 // The contract: Form() is *bit-identical* to GreedyTeamFormer::Form for
 // every SkillPolicy x UserPolicy x CompatKind and every shard count,
@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -40,6 +41,7 @@
 #include "src/dist/transport.h"
 #include "src/skills/skills.h"
 #include "src/team/greedy.h"
+#include "src/team/greedy_step.h"
 #include "src/util/result.h"
 #include "src/util/rng.h"
 
@@ -49,6 +51,7 @@ namespace tfsn {
 struct DistOptions {
   /// Number of shard workers (>= 1).
   uint32_t num_shards = 2;
+  /// Read by nothing: the hash plan is the only plan.
   ShardStrategy strategy = ShardStrategy::kHash;
   /// Per-worker oracle factory; every worker must get an equivalently
   /// configured oracle (see OracleFactoryFor for the common case).
@@ -72,8 +75,8 @@ struct FormCommStats {
   /// Seed-steps coordinated: one per live seed per wave round — the
   /// number of user selections the single-node path makes.
   uint64_t steps = 0;
-  /// Broadcast + gather cycles: wave rounds, RANDOM rank-resolution
-  /// rounds, and the final cost gather.
+  /// Broadcast + gather cycles: wave rounds, RANDOM bisection rounds, and
+  /// the final cost gather.
   uint64_t rounds = 0;
   /// Transport traffic attributable to this call (ledger delta).
   CommStats comm;
@@ -115,40 +118,31 @@ class DistributedFormer {
   uint64_t pending_messages() const { return transport_->PendingMessages(); }
 
  private:
-  /// One live seed of the current wave.
-  struct SeedState {
-    uint32_t index;            ///< within the run's seed list
-    std::vector<NodeId> team;  ///< in the order added
-    SkillCoverage coverage;    ///< skills the team holds
-    Rng* rng;                  ///< RANDOM only
-  };
-
   Status Broadcast(Message msg);
   void AbortRun(uint32_t run);
 
-  /// Collects one reply of type `want` per shard in `from` for epoch
-  /// (run, wave, round); stale or unexpected messages are dropped. A
-  /// reply carrying a non-OK status, or a bounded-wait expiry, fails the
-  /// gather.
+  /// Collects one reply of type `want` from every shard for epoch (run,
+  /// wave, round); stale or unexpected messages are dropped. A reply
+  /// carrying a non-OK status, or a bounded-wait expiry, fails the gather.
   Result<std::vector<Message>> Gather(uint32_t run, uint32_t wave,
-                                      uint32_t round, MsgType want,
-                                      const std::vector<uint32_t>& from);
+                                      uint32_t round, MsgType want);
 
-  /// Completes wave `wave` of `seeds` by broadcast/gather rounds and
-  /// appends its found teams (members sorted, cost not yet evaluated) to
-  /// *done in seed order. A Status only on shard/transport failure.
-  Status RunWave(uint32_t run, uint32_t wave, const Task& task,
-                 const std::vector<NodeId>& seeds,
-                 std::vector<Rng>* seed_rngs, std::vector<TeamResult>* done,
-                 FormCommStats* acc);
+  /// CompleteSeeds' user selection for round `round` of wave `wave`: one
+  /// kEvalStep broadcast, gather and merge (plus the RANDOM bisection
+  /// rounds) picks a user for every live seed. `rngs` are the wave's
+  /// per-seed streams (RANDOM only, else empty). A Status only on
+  /// shard/transport failure.
+  Status SelectUsers(uint32_t run, uint32_t wave, uint32_t round,
+                     std::span<const SeedStep> live, std::span<Rng> rngs,
+                     std::span<NodeId> picks, FormCommStats* acc);
 
   /// RANDOM policy: draws each live seed's rank from its stream and
-  /// resolves it to the global candidate id (kInvalidNode for a seed
-  /// without candidates) into *picks.
+  /// resolves it to the global candidate id (left kInvalidNode for a seed
+  /// without candidates) in *picks.
   Status PickRandom(uint32_t run, uint32_t wave, uint32_t round,
-                    const std::vector<SeedState>& live,
+                    std::span<const SeedStep> live, std::span<Rng> rngs,
                     const std::vector<Message>& replies,
-                    std::vector<NodeId>* picks, FormCommStats* acc);
+                    std::span<NodeId> picks, FormCommStats* acc);
 
   /// Final cost gather: assembles each team's directed distance matrix
   /// from the owners' rows and evaluates (cost, objective) with the exact
@@ -169,7 +163,6 @@ class DistributedFormer {
   std::vector<std::unique_ptr<ShardWorker>> workers_;
   std::vector<std::thread> threads_;
   uint32_t run_counter_ = 0;
-  std::vector<uint32_t> all_shards_;
 };
 
 }  // namespace tfsn

@@ -119,10 +119,6 @@ const char* MsgTypeName(MsgType t) {
       return "CountLe";
     case MsgType::kCountReply:
       return "CountReply";
-    case MsgType::kPickRank:
-      return "PickRank";
-    case MsgType::kPickReply:
-      return "PickReply";
     case MsgType::kCostEval:
       return "CostEval";
     case MsgType::kCostReply:
@@ -166,15 +162,11 @@ std::vector<uint8_t> EncodeMessage(const Message& msg) {
       PutVec(&out, msg.slice_dist);
       break;
     case MsgType::kCountLe:
-    case MsgType::kPickRank:
       PutVec(&out, msg.seeds);
       PutVec(&out, msg.args);
       break;
     case MsgType::kCountReply:
       PutVec(&out, msg.counts);
-      break;
-    case MsgType::kPickReply:
-      PutVec(&out, msg.best_ids);
       break;
     case MsgType::kCostEval:
       PutVec(&out, msg.team);
@@ -237,14 +229,10 @@ bool DecodeMessage(std::span<const uint8_t> bytes, Message* out) {
       }
       break;
     case MsgType::kCountLe:
-    case MsgType::kPickRank:
       if (!r.Vec(&out->seeds) || !r.Vec(&out->args)) return false;
       break;
     case MsgType::kCountReply:
       if (!r.Vec(&out->counts)) return false;
-      break;
-    case MsgType::kPickReply:
-      if (!r.Vec(&out->best_ids)) return false;
       break;
     case MsgType::kCostEval:
       if (!r.Vec(&out->team) || !r.Vec(&out->team_sizes)) return false;
@@ -254,6 +242,8 @@ bool DecodeMessage(std::span<const uint8_t> bytes, Message* out) {
       break;
     case MsgType::kAbort:
       break;
+    default:
+      return false;  // a retired type byte
   }
   return r.Done();
 }

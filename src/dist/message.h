@@ -2,18 +2,19 @@
 //
 // Every exchange between the coordinator and the shard workers — and
 // between workers (row slices) — is one of these message kinds, encoded to
-// a flat little-endian byte vector before it enters the Transport. The
+// a flat little-endian byte vector before it enters the transport. The
 // in-process transport could pass structs by move, but encoding every
-// message keeps the CommStats byte ledger honest (bytes counted are bytes
-// a real network transport would move) and exercises the exact
-// serialization a multi-process backend will need.
+// message keeps the CommStats byte ledger honest (bytes counted are the
+// bytes the protocol puts on the wire) and puts the decoder's checks on
+// every message.
 //
-// Seeds advance in waves (kWaveSeeds): one message of a wave round speaks
-// for every live seed of the wave at once, as parallel per-seed arrays in
-// seed order. Framing: a fixed header (type, source endpoint, run / wave /
-// round epoch, status) followed by type-specific fields. The epoch triple
-// lets receivers drop stale traffic after an aborted run; the status byte
-// lets a reply carry a typed tfsn::Status error instead of a result.
+// Seeds advance in waves (kWaveSeeds, src/team/greedy_step.h): one message
+// of a wave round speaks for every live seed of the wave at once, as
+// parallel per-seed arrays in seed order. Framing: a fixed header (type,
+// source endpoint, run / wave / round epoch, status) followed by
+// type-specific fields. The epoch triple lets receivers drop stale traffic
+// after an aborted run; the status byte lets a reply carry a typed
+// tfsn::Status error instead of a result.
 
 #pragma once
 
@@ -28,15 +29,9 @@
 
 namespace tfsn {
 
-/// Seeds per wave: wave w holds the run's seeds [w * kWaveSeeds,
-/// (w + 1) * kWaveSeeds), which take their greedy steps together. A worker
-/// holds row slices for one wave's members at a time, so this bounds its
-/// slice memory; one wave per run would hold every member's slice for the
-/// whole run.
-inline constexpr uint32_t kWaveSeeds = 64;
-
 /// Message kinds of the wave formation protocol (see README "Sharded
-/// formation" for the protocol diagram).
+/// formation" for the protocol diagram). The values are the wire's type
+/// byte; 7 and 8 are retired and decode as malformed.
 enum class MsgType : uint8_t {
   kFormBegin = 1,       ///< coordinator -> all: task + per-run config
   kEvalStep = 2,        ///< coordinator -> all: every live seed's step
@@ -44,8 +39,6 @@ enum class MsgType : uint8_t {
   kRowSlice = 4,        ///< worker -> worker: new members' restricted rows
   kCountLe = 5,         ///< coordinator -> all: RANDOM rank probes (id <= x)
   kCountReply = 6,      ///< worker -> coordinator
-  kPickRank = 7,        ///< coordinator -> owners: local ranks -> node ids
-  kPickReply = 8,       ///< worker -> coordinator
   kCostEval = 9,        ///< coordinator -> all: completed teams
   kCostReply = 10,      ///< worker -> coordinator: owned rows of the teams
   kAbort = 11,          ///< coordinator -> all: drop the current run
@@ -75,7 +68,7 @@ struct Message {
   uint8_t user_policy = 0;
   uint32_t pool_cap = 0;
 
-  // kEvalStep / kCountLe / kPickRank: the seeds spoken for, as indexes
+  // kEvalStep / kCountLe: the seeds spoken for, as indexes
   // within the run, strictly ascending and inside the header's wave.
   std::vector<uint32_t> seeds;
   // kEvalStep, per seed: the member its previous step added (the seed user
@@ -86,12 +79,12 @@ struct Message {
   std::vector<SkillId> skills;
   std::vector<uint32_t> rest_counts;
   std::vector<SkillId> rest;
-  // kCountLe / kPickRank, per seed: threshold id / local candidate rank.
+  // kCountLe, per seed: the threshold id.
   std::vector<uint64_t> args;
 
   // kCandidateReply, per seed: local candidate count, local best
   // (kInvalidNode when there is none) and its score. kCountReply uses
-  // `counts` (candidates <= the threshold), kPickReply `best_ids`.
+  // `counts` (candidates <= the threshold).
   std::vector<uint64_t> counts;
   std::vector<NodeId> best_ids;
   std::vector<uint64_t> best_scores;

@@ -1,52 +1,17 @@
 #include "src/dist/shard_plan.h"
 
-#include <algorithm>
-
 #include "src/util/logging.h"
 
 namespace tfsn {
 
-const char* ShardStrategyName(ShardStrategy s) {
-  switch (s) {
-    case ShardStrategy::kHash: return "hash";
-    case ShardStrategy::kRange: return "range";
-  }
-  return "?";
-}
-
-bool ParseShardStrategy(const std::string& name, ShardStrategy* out) {
-  std::string lower(name);
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (lower == "hash") {
-    *out = ShardStrategy::kHash;
-    return true;
-  }
-  if (lower == "range") {
-    *out = ShardStrategy::kRange;
-    return true;
-  }
-  return false;
-}
-
-ShardPlan::ShardPlan(ShardStrategy strategy, uint32_t num_nodes,
-                     uint32_t num_shards)
-    : strategy_(strategy), num_nodes_(num_nodes), num_shards_(num_shards) {
+ShardPlan::ShardPlan(uint32_t num_nodes, uint32_t num_shards)
+    : num_nodes_(num_nodes), num_shards_(num_shards) {
   TFSN_CHECK(num_shards >= 1);
-  // ceil(n / S), floored at 1 so ShardOf stays total for num_nodes == 0.
-  block_ = std::max<uint32_t>(1, (num_nodes + num_shards - 1) / num_shards);
 }
 
 std::vector<NodeId> ShardPlan::OwnedNodes(uint32_t shard) const {
   TFSN_CHECK(shard < num_shards_);
   std::vector<NodeId> owned;
-  if (strategy_ == ShardStrategy::kRange) {
-    const uint64_t lo = static_cast<uint64_t>(shard) * block_;
-    const uint64_t hi =
-        std::min<uint64_t>(num_nodes_, lo + block_);
-    for (uint64_t u = lo; u < hi; ++u) owned.push_back(static_cast<NodeId>(u));
-    return owned;
-  }
   for (NodeId u = 0; u < num_nodes_; ++u) {
     if (ShardOf(u) == shard) owned.push_back(u);
   }

@@ -3,41 +3,27 @@
 // The sharded formation engine (distributed_former.h) assigns every node —
 // and therefore every holder of every skill — to exactly one shard; that
 // shard's worker owns the node's compatibility row and evaluates the node
-// whenever it is a candidate in a greedy step. Both strategies are pure
-// functions of (strategy, num_nodes, num_shards), so every participant of
-// a formation run can compute the same plan locally and no plan state ever
-// crosses the transport.
-//
-//   kRange — contiguous blocks of ceil(n / S) ids: shard 0 owns the lowest
-//            ids, shard S-1 the highest. Owned sets are intervals, so the
-//            concatenation of per-shard candidate lists in shard order is
-//            globally id-sorted (the coordinator's RANDOM-policy rank
-//            selection exploits this).
-//   kHash  — SplitMix64-mixed id modulo S: spreads dense id regions (and
-//            skill-correlated id clusters) evenly across shards at the
-//            price of id-interleaved ownership.
+// whenever it is a candidate in a greedy step. A node's shard is its
+// SplitMix64-mixed id modulo S, which spreads dense id regions (and
+// skill-correlated id clusters) evenly across shards at the price of
+// id-interleaved ownership. The plan is a pure function of (num_nodes,
+// num_shards), so every participant of a formation run computes the same
+// plan locally and no plan state ever crosses the transport.
 
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/graph/signed_graph.h"
 
 namespace tfsn {
 
-/// How node ids map to shards.
+/// How node ids map to shards. The hash plan is the only one; the type
+/// stays for callers that still name it in DistOptions::strategy.
 enum class ShardStrategy : uint8_t {
   kHash = 0,
-  kRange = 1,
 };
-
-const char* ShardStrategyName(ShardStrategy s);
-
-/// Parses a name as produced by ShardStrategyName (case-insensitive).
-/// Returns false (leaving *out untouched) on unknown names.
-bool ParseShardStrategy(const std::string& name, ShardStrategy* out);
 
 /// The (pure, replicable) node -> shard map for one formation engine.
 class ShardPlan {
@@ -45,31 +31,23 @@ class ShardPlan {
   ShardPlan() = default;
 
   /// Plan for `num_shards` >= 1 shards over ids [0, num_nodes).
-  ShardPlan(ShardStrategy strategy, uint32_t num_nodes, uint32_t num_shards);
+  ShardPlan(uint32_t num_nodes, uint32_t num_shards);
 
-  ShardStrategy strategy() const { return strategy_; }
   uint32_t num_nodes() const { return num_nodes_; }
   uint32_t num_shards() const { return num_shards_; }
 
   /// Owning shard of node `u` (u < num_nodes()).
   uint32_t ShardOf(NodeId u) const {
-    if (strategy_ == ShardStrategy::kRange) return u / block_;
     return static_cast<uint32_t>(Mix(u) % num_shards_);
   }
 
   /// Node ids owned by `shard`, ascending. May be empty (more shards than
-  /// nodes, or a hash shard that drew nothing).
+  /// nodes, or a shard that drew nothing).
   std::vector<NodeId> OwnedNodes(uint32_t shard) const;
 
-  /// True when owned id sets are intervals ordered by shard id — i.e.
-  /// per-shard ascending lists concatenated in shard order are globally
-  /// sorted.
-  bool IdOrderedByShard() const { return strategy_ == ShardStrategy::kRange; }
-
  private:
-  /// SplitMix64 finalizer — a fixed bijective mix so the hash strategy is
-  /// identical on every platform and in every process of a future
-  /// multi-process transport.
+  /// SplitMix64 finalizer — a fixed bijective mix, so the plan is
+  /// identical on every platform.
   static uint64_t Mix(uint64_t x) {
     x += 0x9e3779b97f4a7c15ULL;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -77,10 +55,8 @@ class ShardPlan {
     return x ^ (x >> 31);
   }
 
-  ShardStrategy strategy_ = ShardStrategy::kHash;
   uint32_t num_nodes_ = 0;
   uint32_t num_shards_ = 1;
-  uint32_t block_ = 1;  // kRange block width: ceil(num_nodes / num_shards)
 };
 
 }  // namespace tfsn

@@ -85,7 +85,8 @@ class ShardWorker::SliceRows {
 
 ShardWorker::ShardWorker(uint32_t shard, const SignedGraph& graph,
                          const SkillAssignment& skills, const ShardPlan& plan,
-                         Transport* transport, OracleFactory oracle_factory,
+                         InProcessTransport* transport,
+                         OracleFactory oracle_factory,
                          ShardWorkerOptions options)
     : shard_(shard),
       graph_(graph),
@@ -123,8 +124,7 @@ void ShardWorker::Dispatch(Message msg) {
       HandleEvalStep(msg);
       return;
     case MsgType::kCountLe:
-    case MsgType::kPickRank:
-      HandleRankProbe(msg);
+      HandleCountLe(msg);
       return;
     case MsgType::kCostEval:
       HandleCostEval(msg);
@@ -451,38 +451,25 @@ void ShardWorker::HandleEvalStep(const Message& msg) {
   Reply(msg, MsgType::kCandidateReply, std::move(reply));
 }
 
-void ShardWorker::HandleRankProbe(const Message& msg) {
+void ShardWorker::HandleCountLe(const Message& msg) {
   if (!run_active_ || msg.run != run_ || msg.wave != wave_ ||
       msg.round != round_) {
     return;  // stale probe; the coordinator's gather will time out
   }
-  // kCountLe counts each seed's candidates <= its threshold id; kPickRank
-  // names each seed's candidate at its local rank.
-  const bool pick = msg.type == MsgType::kPickRank;
-  const MsgType reply_type = pick ? MsgType::kPickReply : MsgType::kCountReply;
-  Status st = ValidateSeeds(msg, &msg.args);
-  Message reply;
-  for (size_t j = 0; st.ok() && j < msg.seeds.size(); ++j) {
-    const std::vector<NodeId>& c = candidates_[msg.seeds[j] % kWaveSeeds];
-    const uint64_t arg = msg.args[j];
-    if (!pick) {
-      const auto x = static_cast<NodeId>(std::min<uint64_t>(arg, kInvalidNode));
-      reply.counts.push_back(static_cast<uint64_t>(
-          std::upper_bound(c.begin(), c.end(), x) - c.begin()));
-    } else if (arg < c.size()) {
-      reply.best_ids.push_back(c[static_cast<size_t>(arg)]);
-    } else {
-      st = Status::InvalidArgument(
-          "rank " + std::to_string(arg) + " out of range (seed " +
-          std::to_string(msg.seeds[j]) + " has " + std::to_string(c.size()) +
-          " candidates)");
-    }
-  }
-  if (!st.ok()) {
-    ReplyError(msg, reply_type, st);
+  if (Status st = ValidateSeeds(msg, &msg.args); !st.ok()) {
+    ReplyError(msg, MsgType::kCountReply, st);
     return;
   }
-  Reply(msg, reply_type, std::move(reply));
+  // Each seed's candidates <= its threshold id.
+  Message reply;
+  for (size_t j = 0; j < msg.seeds.size(); ++j) {
+    const std::vector<NodeId>& c = candidates_[msg.seeds[j] % kWaveSeeds];
+    const auto x =
+        static_cast<NodeId>(std::min<uint64_t>(msg.args[j], kInvalidNode));
+    reply.counts.push_back(static_cast<uint64_t>(
+        std::upper_bound(c.begin(), c.end(), x) - c.begin()));
+  }
+  Reply(msg, MsgType::kCountReply, std::move(reply));
 }
 
 void ShardWorker::HandleCostEval(const Message& msg) {

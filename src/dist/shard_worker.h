@@ -4,11 +4,12 @@
 // private oracle (and row cache) over the shared graph. At kFormBegin it
 // prewarms its slice of the task's holder universe and lists its owned
 // holders of each task skill as slice indexes. Seeds advance in waves
-// (kWaveSeeds, message.h): per wave round one kEvalStep carries every
-// live seed's step, and the worker evaluates *its* candidates for each of
-// them — owned holders of the seed's skill, compatible with the seed's
-// whole team — and replies once with every seed's local best (or just
-// the candidate count for the RANDOM policy).
+// (kWaveSeeds, src/team/greedy_step.h): per wave round one kEvalStep
+// carries every live seed's step, and the worker evaluates *its*
+// candidates for each of them — owned holders of the seed's skill,
+// compatible with the seed's whole team — and replies once with every
+// seed's local best (or just the candidate count for the RANDOM policy,
+// whose ranks the coordinator resolves with kCountLe probes).
 // Rows of remote team members arrive as kRowSlice messages from their
 // owners, restricted to this worker's universe slice: one message per
 // owner per round, holding every owned member first seen in the wave.
@@ -60,7 +61,7 @@ class ShardWorker {
  public:
   ShardWorker(uint32_t shard, const SignedGraph& graph,
               const SkillAssignment& skills, const ShardPlan& plan,
-              Transport* transport, OracleFactory oracle_factory,
+              InProcessTransport* transport, OracleFactory oracle_factory,
               ShardWorkerOptions options);
 
   /// Message loop; returns when the transport closes.
@@ -84,7 +85,7 @@ class ShardWorker {
   void Dispatch(Message msg);
   void HandleFormBegin(const Message& msg);
   void HandleEvalStep(const Message& msg);
-  void HandleRankProbe(const Message& msg);
+  void HandleCountLe(const Message& msg);
   void HandleCostEval(const Message& msg);
 
   /// Checks a kEvalStep against the run before any state changes.
@@ -126,7 +127,7 @@ class ShardWorker {
   const SignedGraph& graph_;
   const SkillAssignment& skills_;
   const ShardPlan& plan_;
-  Transport* const transport_;
+  InProcessTransport* const transport_;
   const ShardWorkerOptions options_;
   std::unique_ptr<CompatibilityOracle> oracle_;
   const bool sbph_;
@@ -156,7 +157,7 @@ class ShardWorker {
   /// Per wave position (seed index mod kWaveSeeds): the seed's team.
   std::vector<std::vector<Member>> teams_;
   /// Per wave position: the RANDOM policy's candidates of the seed's step
-  /// this round (ascending ids), which kCountLe / kPickRank resolve.
+  /// this round (ascending ids), which kCountLe probes count.
   std::vector<std::vector<NodeId>> candidates_;
   /// kRowSlice messages that raced ahead of their round.
   std::vector<Message> early_slices_;

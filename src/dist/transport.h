@@ -1,18 +1,17 @@
-// The transport seam of the sharded formation engine.
+// The transport of the sharded formation engine: threads as shards.
 //
 // Endpoints are numbered 0..S: shard workers 0..S-1 plus the coordinator
-// at endpoint S. Every message crosses the seam as EncodeMessage() bytes,
-// and the transport keeps a CommStats ledger of everything it moved —
-// split into the *control plane* (any message to or from the coordinator:
-// broadcasts, per-shard bests, rank probes — the traffic that must stay
+// at endpoint S. Every message travels as EncodeMessage() bytes, and the
+// transport keeps a CommStats ledger of everything it moved — split into
+// the *control plane* (any message to or from the coordinator: broadcasts,
+// per-shard bests, rank probes — the traffic that must stay
 // O(S * team_size) per seed-step) and the *data plane* (worker-to-worker
 // row slices, which legitimately scale with the holder universe).
 //
-// InProcessTransport is the threads-as-shards implementation: one mutex +
-// condvar mailbox per endpoint, bounded-timeout receives, and the
-// `dist.send_drop` / `dist.recv_timeout` fault points, so CI can measure
-// real scaling and failure behavior without MPI. A multi-process backend
-// only has to implement the same four-method interface.
+// InProcessTransport keeps one mutex + condvar mailbox per endpoint, with
+// bounded-timeout receives and the `dist.send_drop` / `dist.recv_timeout`
+// fault points, so the tests measure the protocol's traffic and failure
+// behavior in one process.
 
 #pragma once
 
@@ -62,52 +61,36 @@ struct CommStats {
   }
 };
 
-/// Point-to-point messaging between the S + 1 formation endpoints.
-class Transport {
+/// Point-to-point messaging between the S + 1 formation endpoints, through
+/// mailboxes in process memory.
+class InProcessTransport {
  public:
-  virtual ~Transport() = default;
+  explicit InProcessTransport(uint32_t num_shards);
+  ~InProcessTransport();
 
-  /// Number of shard worker endpoints (the coordinator is endpoint
-  /// num_shards()).
-  virtual uint32_t num_shards() const = 0;
-
-  /// The coordinator's endpoint id.
-  uint32_t coordinator() const { return num_shards(); }
+  /// The coordinator's endpoint id: S, after the shard workers 0..S-1.
+  uint32_t coordinator() const { return num_shards_; }
 
   /// Delivers `msg` from endpoint `src` to endpoint `dst`'s mailbox.
   /// Unavailable when the transport is closed or the message was dropped
   /// (injected fault).
-  virtual Status Send(uint32_t src, uint32_t dst, const Message& msg) = 0;
+  Status Send(uint32_t src, uint32_t dst, const Message& msg);
 
   /// Next message addressed to endpoint `dst`. Blocks up to `timeout_ms`
   /// milliseconds (DeadlineExceeded on expiry); `timeout_ms < 0` blocks
   /// until a message arrives or the transport closes (Unavailable —
   /// returned only once the mailbox is fully drained).
-  virtual Status Recv(uint32_t dst, int64_t timeout_ms, Message* out) = 0;
+  Status Recv(uint32_t dst, int64_t timeout_ms, Message* out);
 
   /// Shuts the transport down: every blocked and future Recv drains its
   /// mailbox and then returns Unavailable; every future Send fails.
-  virtual void Close() = 0;
+  void Close();
 
   /// Snapshot of the traffic ledger.
-  virtual CommStats stats() const = 0;
+  CommStats stats() const;
 
   /// Messages currently enqueued across all mailboxes.
-  virtual uint64_t PendingMessages() const = 0;
-};
-
-/// Threads-as-shards transport: mailboxes in process memory.
-class InProcessTransport final : public Transport {
- public:
-  explicit InProcessTransport(uint32_t num_shards);
-  ~InProcessTransport() override;
-
-  uint32_t num_shards() const override { return num_shards_; }
-  Status Send(uint32_t src, uint32_t dst, const Message& msg) override;
-  Status Recv(uint32_t dst, int64_t timeout_ms, Message* out) override;
-  void Close() override;
-  CommStats stats() const override;
-  uint64_t PendingMessages() const override;
+  uint64_t PendingMessages() const;
 
  private:
   struct Mailbox {

@@ -246,6 +246,45 @@ class OracleRows {
   std::vector<NodeId> pool_;
 };
 
+// An in-process engine's seed: CompleteSeeds over a wave of one, selecting
+// through SelectUserOver on the seed's own rng stream, then the team's
+// diameter and objective over the accessor's pair distances. found ==
+// false at a dead end.
+template <typename Rows>
+TeamResult CompleteSeed(Rows& rows, const SkillAssignment& skills,
+                        const SkillCompatibilityIndex* index,
+                        const GreedyParams& params, const Task& task,
+                        uint32_t seed, Rng* rng) {
+  std::vector<uint32_t> team;
+  std::vector<uint32_t> scratch;
+  const Status st = CompleteSeeds(
+      skills, index, params.skill_policy, task, std::span(&seed, 1),
+      [&rows](uint32_t v) { return rows.Global(v); },
+      [&](std::span<const SeedStep> live, std::span<uint32_t> picks) {
+        for (size_t j = 0; j < live.size(); ++j) {
+          picks[j] = SelectUserOver(rows, params, live[j].skill, live[j].team,
+                                    live[j].rest, rng, &scratch);
+        }
+        return Status::OK();
+      },
+      std::span(&team, 1));
+  TFSN_CHECK(st.ok());  // this selector cannot fail
+  TeamResult candidate;
+  if (team.empty()) return candidate;
+  const auto dist = [&](size_t i, size_t j) {
+    return rows.Distance(team[i], team[j]);
+  };
+  candidate.found = true;
+  candidate.cost = TeamDiameterOver(team.size(), dist);
+  candidate.objective =
+      params.cost_kind == CostKind::kDiameter
+          ? ObjectiveFromDiameter(candidate.cost)
+          : TeamCostOver(team.size(), params.cost_kind, dist);
+  candidate.members.reserve(team.size());
+  for (uint32_t id : team) candidate.members.push_back(rows.Global(id));
+  return candidate;
+}
+
 }  // namespace
 
 GreedyTeamFormer::GreedyTeamFormer(CompatibilityOracle* oracle,
@@ -315,16 +354,16 @@ std::pair<uint32_t, uint32_t> GreedyTeamFormer::EnumerateCandidates(
       // the view was supplied by a caller for a superset task.
       TFSN_CHECK(seed_local != kNoLocalId);
       ViewRows rows(*view);
-      slots[i] = CompleteSeedOver(rows, skills_, index_, params_, task,
-                                  seed_local, seed_rng_at(i));
+      slots[i] = CompleteSeed(rows, skills_, index_, params_, task,
+                              seed_local, seed_rng_at(i));
     });
   } else {
     // One oracle instance is not thread-safe (GetRow pins rows into
     // instance-local state), so the oracle path stays serial.
     OracleRows rows(oracle_, skills_);
     for (size_t i = 0; i < seeds.size(); ++i) {
-      slots[i] = CompleteSeedOver(rows, skills_, index_, params_, task,
-                                  seeds[i], seed_rng_at(i));
+      slots[i] = CompleteSeed(rows, skills_, index_, params_, task, seeds[i],
+                              seed_rng_at(i));
     }
   }
 

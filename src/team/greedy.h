@@ -187,6 +187,12 @@ class GreedyTeamFormer {
   /// Like Form but returns up to `k` *distinct* candidate teams (one per
   /// successful seed), sorted by the configured cost objective ascending —
   /// top-k team enumeration in the spirit of Kargar & An (CIKM'11).
+  ///
+  /// Ties break differently from Form: equal objectives go to the smaller
+  /// team, then to the lexicographically smaller member ids, where Form
+  /// keeps the first such team in seed order. So FormTopK(task, 1) may
+  /// return a different team of the same objective than Form, which is
+  /// the answer every engine (view, oracle, sharded) reproduces.
   std::vector<TeamResult> FormTopK(const Task& task, uint32_t k, Rng* rng);
 
   /// Forms a team for `task` evaluating against a caller-supplied view

@@ -1,20 +1,25 @@
-// Algorithm 2's greedy step, written once over a row-access policy.
+// Algorithm 2's greedy step and per-seed completion loop, written once.
 //
 // "Select user" (lines 9-10) picks, among the holders of the chosen skill
 // that are compatible with every current team member, the one the user
-// policy prefers. The per-seed completion loop (lines 4-11) repeats "select
-// skill, select user" from one seed until the task is covered. Three
-// engines run this code, each through its own accessor:
+// policy prefers. It runs over a row-access policy, one per engine:
 //
 //   * the dense task view (greedy.cc, the default in-process path);
 //   * the oracle (greedy.cc, the reference path and the only one for
 //     graphs too large for the view);
-//   * a shard worker's universe slice (src/dist/shard_worker.cc, selection
-//     only; the coordinator runs the loop as messages).
+//   * a shard worker's universe slice (src/dist/shard_worker.cc).
 //
-// Because the policies below exist once and every accessor answers the
-// same pair questions, the engines pick the same users bit for bit, as
-// TeamDiameterOver/TeamCostOver (cost.h) do for the objectives.
+// The completion loop (lines 4-11) repeats "select skill, select user"
+// from each seed until the task is covered. CompleteSeeds runs it as
+// rounds over a wave of seeds, and the engine supplies the user selection
+// for a round: the in-process engines call it with one seed at a time and
+// select through SelectUserOver, and the sharded coordinator
+// (src/dist/distributed_former.cc) calls it once per wave of kWaveSeeds and
+// selects with one broadcast/gather round over its shards.
+//
+// Because the loop and the policies below exist once and every accessor
+// answers the same pair questions, the engines pick the same users bit for
+// bit, as TeamDiameterOver/TeamCostOver (cost.h) do for the objectives.
 //
 // A row-access policy `Rows` provides:
 //
@@ -33,26 +38,28 @@
 //       thinned to `cap` exactly as FutureHolderPool does (0 = no cap).
 //   uint64_t PoolScore(uint32_t v);
 //       Pool members that v's directional row marks compatible.
-//
-// The completion loop additionally needs `Member == uint32_t` (members are
-// former candidates) and `NodeId Global(uint32_t id)`; ids must ascend
-// with global ids.
 
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "src/skills/skills.h"
-#include "src/team/cost.h"
 #include "src/team/greedy.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
+#include "src/util/status.h"
 
 namespace tfsn {
+
+/// Seeds per wave of the sharded coordinator: wave w holds the run's seeds
+/// [w * kWaveSeeds, (w + 1) * kWaveSeeds), which take their greedy steps
+/// together, one message round per step. A shard worker holds row slices
+/// for one wave's members at a time, so this bounds its slice memory.
+inline constexpr uint32_t kWaveSeeds = 64;
 
 /// A user policy's choice among the candidates: the candidate id
 /// (kInvalidNode when there is none) and its score — the worst distance
@@ -122,50 +129,89 @@ uint32_t SelectUserOver(Rows& rows, const GreedyParams& params, SkillId skill,
       .id;
 }
 
-/// Greedy completion of one seed: cover the seed's skills, then select a
-/// skill (line 8) and a user until the task is covered. Returns the team
-/// with members sorted by global id and its cost and objective evaluated,
-/// or found == false at a dead end.
-template <typename Rows>
-TeamResult CompleteSeedOver(Rows& rows, const SkillAssignment& skills,
-                            const SkillCompatibilityIndex* index,
-                            const GreedyParams& params, const Task& task,
-                            uint32_t seed, Rng* rng) {
-  static_assert(std::is_same_v<typename Rows::Member, uint32_t>);
-  TeamResult candidate;
-  std::vector<uint32_t> team{seed};
-  std::vector<uint32_t> scratch;
-  SkillCoverage coverage(task);
-  coverage.Cover(skills.SkillsOf(rows.Global(seed)));
-  while (!coverage.AllCovered()) {
-    const std::vector<SkillId> uncovered = coverage.Uncovered();
-    const SkillId s =
-        SelectSkillByPolicy(params.skill_policy, skills, index, uncovered);
-    // Skills still uncovered after s is handled; used by kMostCompatible.
+/// One live seed's greedy step, as CompleteSeeds hands it to the user
+/// selection of a round.
+struct SeedStep {
+  /// The seed's position in CompleteSeeds' `seeds`.
+  uint32_t slot;
+  /// The seed's team in the order added: the seed first, the member the
+  /// previous round added last.
+  std::span<const uint32_t> team;
+  /// The skill to fill (line 8), chosen by SelectSkillByPolicy.
+  SkillId skill;
+  /// The task skills still uncovered after `skill`, ascending:
+  /// kMostCompatible's future-holder pool.
+  std::span<const SkillId> rest;
+};
+
+/// Algorithm 2's completion loop (lines 4-11) over a wave of seeds. Each
+/// seed first covers its own skills; a seed that covers the task is done.
+/// Then, in round k, every seed still live takes its k-th step together:
+/// `select(steps, picks)` receives the live seeds' steps in seed order and
+/// sets picks[j] (which arrives as kInvalidNode) to the user steps[j]'s
+/// seed adds. kInvalidNode is a dead end and drops that seed alone. A
+/// selector error ends the loop and is returned unchanged.
+///
+/// Member ids are the engine's (view-local or global, ascending with
+/// global ids); `global(id)` maps one to its NodeId to read its skills.
+/// Each completed team is written, members ascending, to teams[slot];
+/// a dead-ended seed leaves its slot empty. `teams` is parallel to
+/// `seeds`.
+template <typename Global, typename Select>
+Status CompleteSeeds(const SkillAssignment& skills,
+                     const SkillCompatibilityIndex* index, SkillPolicy policy,
+                     const Task& task, std::span<const uint32_t> seeds,
+                     Global global, Select select,
+                     std::span<std::vector<uint32_t>> teams) {
+  TFSN_CHECK(teams.size() == seeds.size());
+  struct Live {
+    uint32_t slot;
+    SkillCoverage coverage;
     std::vector<SkillId> rest;
-    for (SkillId t : uncovered) {
-      if (t != s) rest.push_back(t);
-    }
-    const uint32_t v =
-        SelectUserOver(rows, params, s, team, rest, rng, &scratch);
-    if (v == kInvalidNode) return candidate;
-    team.push_back(v);
-    coverage.Cover(skills.SkillsOf(rows.Global(v)));
-  }
-  // Ids ascend with global ids, so this is also the global-id order.
-  std::sort(team.begin(), team.end());
-  const auto dist = [&](size_t i, size_t j) {
-    return rows.Distance(team[i], team[j]);
   };
-  candidate.found = true;
-  candidate.cost = TeamDiameterOver(team.size(), dist);
-  candidate.objective =
-      params.cost_kind == CostKind::kDiameter
-          ? ObjectiveFromDiameter(candidate.cost)
-          : TeamCostOver(team.size(), params.cost_kind, dist);
-  candidate.members.reserve(team.size());
-  for (uint32_t id : team) candidate.members.push_back(rows.Global(id));
-  return candidate;
+  std::vector<Live> live;
+  for (uint32_t i = 0; i < seeds.size(); ++i) {
+    teams[i].assign(1, seeds[i]);
+    SkillCoverage coverage(task);
+    coverage.Cover(skills.SkillsOf(global(seeds[i])));
+    if (!coverage.AllCovered()) live.push_back({i, std::move(coverage), {}});
+  }
+  std::vector<SeedStep> steps;
+  std::vector<uint32_t> picks;
+  while (!live.empty()) {
+    steps.clear();
+    for (Live& s : live) {
+      const std::vector<SkillId> uncovered = s.coverage.Uncovered();
+      const SkillId skill =
+          SelectSkillByPolicy(policy, skills, index, uncovered);
+      s.rest.clear();
+      for (SkillId t : uncovered) {
+        if (t != skill) s.rest.push_back(t);
+      }
+      steps.push_back({s.slot, teams[s.slot], skill, s.rest});
+    }
+    picks.assign(live.size(), kInvalidNode);
+    TFSN_RETURN_NOT_OK(select(std::span<const SeedStep>(steps),
+                              std::span<uint32_t>(picks)));
+    size_t kept = 0;
+    for (size_t j = 0; j < live.size(); ++j) {
+      std::vector<uint32_t>& team = teams[live[j].slot];
+      if (picks[j] == kInvalidNode) {
+        team.clear();
+        continue;
+      }
+      team.push_back(picks[j]);
+      live[j].coverage.Cover(skills.SkillsOf(global(picks[j])));
+      if (live[j].coverage.AllCovered()) {
+        std::sort(team.begin(), team.end());
+        continue;
+      }
+      if (kept != j) live[kept] = std::move(live[j]);
+      ++kept;
+    }
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(kept), live.end());
+  }
+  return Status::OK();
 }
 
 }  // namespace tfsn

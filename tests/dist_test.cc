@@ -22,6 +22,7 @@
 #include "src/compat/threshold.h"
 #include "src/gen/generators.h"
 #include "src/skills/skill_generator.h"
+#include "src/team/greedy_step.h"
 #include "src/util/fault_injection.h"
 #include "src/util/fnv1a.h"
 #include "src/util/rng.h"
@@ -71,64 +72,34 @@ uint64_t ResultDigest(const TeamResult& r) {
 // ---------------------------------------------------------------------------
 
 TEST(ShardPlanTest, PartitionsEveryNodeExactlyOnce) {
-  for (ShardStrategy strategy : {ShardStrategy::kHash, ShardStrategy::kRange}) {
-    for (uint32_t num_shards : {1u, 3u, 8u, 13u}) {
-      ShardPlan plan(strategy, 100, num_shards);
-      std::vector<uint32_t> owner_count(100, 0);
-      for (uint32_t s = 0; s < num_shards; ++s) {
-        std::vector<NodeId> owned = plan.OwnedNodes(s);
-        EXPECT_TRUE(std::is_sorted(owned.begin(), owned.end()));
-        for (NodeId u : owned) {
-          ASSERT_LT(u, 100u);
-          EXPECT_EQ(plan.ShardOf(u), s);
-          ++owner_count[u];
-        }
-      }
-      for (NodeId u = 0; u < 100; ++u) {
-        EXPECT_EQ(owner_count[u], 1u)
-            << ShardStrategyName(strategy) << " S=" << num_shards
-            << " node " << u;
-      }
-      // Pure function of the inputs: an independently built plan agrees.
-      ShardPlan replica(strategy, 100, num_shards);
-      for (NodeId u = 0; u < 100; ++u) {
-        EXPECT_EQ(replica.ShardOf(u), plan.ShardOf(u));
+  for (uint32_t num_shards : {1u, 3u, 8u, 13u}) {
+    ShardPlan plan(100, num_shards);
+    std::vector<uint32_t> owner_count(100, 0);
+    for (uint32_t s = 0; s < num_shards; ++s) {
+      std::vector<NodeId> owned = plan.OwnedNodes(s);
+      EXPECT_TRUE(std::is_sorted(owned.begin(), owned.end()));
+      for (NodeId u : owned) {
+        ASSERT_LT(u, 100u);
+        EXPECT_EQ(plan.ShardOf(u), s);
+        ++owner_count[u];
       }
     }
-  }
-}
-
-TEST(ShardPlanTest, RangeBlocksAreContiguousAndIdOrdered) {
-  ShardPlan plan(ShardStrategy::kRange, 10, 4);
-  EXPECT_TRUE(plan.IdOrderedByShard());
-  NodeId next = 0;
-  for (uint32_t s = 0; s < 4; ++s) {
-    for (NodeId u : plan.OwnedNodes(s)) {
-      EXPECT_EQ(u, next) << "shard " << s;
-      ++next;
+    for (NodeId u = 0; u < 100; ++u) {
+      EXPECT_EQ(owner_count[u], 1u) << "S=" << num_shards << " node " << u;
+    }
+    // Pure function of the inputs: an independently built plan agrees.
+    ShardPlan replica(100, num_shards);
+    for (NodeId u = 0; u < 100; ++u) {
+      EXPECT_EQ(replica.ShardOf(u), plan.ShardOf(u));
     }
   }
-  EXPECT_EQ(next, 10u);
-  EXPECT_FALSE(ShardPlan(ShardStrategy::kHash, 10, 4).IdOrderedByShard());
 }
 
 TEST(ShardPlanTest, MoreShardsThanNodesLeavesTrailingShardsEmpty) {
-  for (ShardStrategy strategy : {ShardStrategy::kHash, ShardStrategy::kRange}) {
-    ShardPlan plan(strategy, 3, 8);
-    size_t total = 0;
-    for (uint32_t s = 0; s < 8; ++s) total += plan.OwnedNodes(s).size();
-    EXPECT_EQ(total, 3u) << ShardStrategyName(strategy);
-  }
-}
-
-TEST(ShardPlanTest, StrategyNamesRoundTrip) {
-  for (ShardStrategy strategy : {ShardStrategy::kHash, ShardStrategy::kRange}) {
-    ShardStrategy parsed;
-    ASSERT_TRUE(ParseShardStrategy(ShardStrategyName(strategy), &parsed));
-    EXPECT_EQ(parsed, strategy);
-  }
-  ShardStrategy out;
-  EXPECT_FALSE(ParseShardStrategy("mesh", &out));
+  ShardPlan plan(3, 8);
+  size_t total = 0;
+  for (uint32_t s = 0; s < 8; ++s) total += plan.OwnedNodes(s).size();
+  EXPECT_EQ(total, 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -200,25 +171,6 @@ std::vector<Message> SampleMessages() {
     m.src = 2;
     m.run = 7;
     m.counts = {4, 0};
-    msgs.push_back(m);
-  }
-  {
-    Message m;
-    m.type = MsgType::kPickRank;
-    m.src = 4;
-    m.run = 7;
-    m.wave = 2;
-    m.seeds = {130};
-    m.args = {2};
-    msgs.push_back(m);
-  }
-  {
-    Message m;
-    m.type = MsgType::kPickReply;
-    m.src = 0;
-    m.run = 7;
-    m.wave = 2;
-    m.best_ids = {1234};
     msgs.push_back(m);
   }
   {
@@ -317,6 +269,24 @@ TEST(MessageCodecTest, TruncationAndGarbageNeverCrash) {
   }
 }
 
+TEST(MessageCodecTest, RetiredTypeBytesAreMalformed) {
+  // The type byte has gaps at 7 and 8 (retired kinds); a frame that
+  // carries one is refused, whatever follows the type byte.
+  Message m;
+  m.type = MsgType::kCountLe;
+  m.src = 4;
+  m.run = 7;
+  m.seeds = {0, 3};
+  m.args = {63, 1999};
+  std::vector<uint8_t> bytes = EncodeMessage(m);
+  Message got;
+  ASSERT_TRUE(DecodeMessage(bytes, &got));
+  for (const uint8_t retired : {7, 8}) {
+    bytes[0] = retired;
+    EXPECT_FALSE(DecodeMessage(bytes, &got)) << int{retired};
+  }
+}
+
 TEST(MessageCodecTest, MutatedEncodingsDecodeInBoundsAndReencodeExactly) {
   // Seeded mutations of a valid encoding of every message type: bit
   // flips, truncations and inserted bytes. The decoder must stay in
@@ -367,11 +337,10 @@ GreedyParams PolicyParams(SkillPolicy sp, UserPolicy up) {
   return p;
 }
 
-DistOptions Options(uint32_t shards, ShardStrategy strategy, CompatKind kind,
+DistOptions Options(uint32_t shards, CompatKind kind,
                     OracleParams oracle_params = {}) {
   DistOptions o;
   o.num_shards = shards;
-  o.strategy = strategy;
   o.oracle_factory = OracleFactoryFor(kind, oracle_params);
   return o;
 }
@@ -391,27 +360,23 @@ TEST(DistIdentityTest, BitIdenticalAcrossShardCountsPoliciesAndStrategies) {
         GreedyTeamFormer reference(oracle.get(), inst.skills, &index,
                                    PolicyParams(sp, up));
         for (uint32_t shards : {1u, 2u, 3u, 8u}) {
-          for (ShardStrategy strategy :
-               {ShardStrategy::kHash, ShardStrategy::kRange}) {
-            DistributedFormer dist(inst.graph, inst.skills, &index,
-                                   PolicyParams(sp, up),
-                                   Options(shards, strategy, kind));
-            Rng task_rng(17);
-            for (int trial = 0; trial < 3; ++trial) {
-              Task task = RandomTask(inst.skills, 4, &task_rng);
-              Rng rng_a(1000 + trial), rng_b(1000 + trial);
-              const TeamResult want = reference.Form(task, &rng_a);
-              const Result<TeamResult> got = dist.Form(task, &rng_b);
-              ASSERT_TRUE(got.ok()) << got.status().ToString();
-              const std::string what =
-                  std::string(CompatKindName(kind)) + "/" +
-                  SkillPolicyName(sp) + "/" + UserPolicyName(up) + "/S=" +
-                  std::to_string(shards) + "/" + ShardStrategyName(strategy);
-              ExpectSameResult(*got, want, what);
-              EXPECT_EQ(ResultDigest(*got), ResultDigest(want)) << what;
-              // Identical rng stream consumption, not just identical teams.
-              EXPECT_EQ(rng_a.Next(), rng_b.Next()) << what;
-            }
+          DistributedFormer dist(inst.graph, inst.skills, &index,
+                                 PolicyParams(sp, up), Options(shards, kind));
+          Rng task_rng(17);
+          for (int trial = 0; trial < 3; ++trial) {
+            Task task = RandomTask(inst.skills, 4, &task_rng);
+            Rng rng_a(1000 + trial), rng_b(1000 + trial);
+            const TeamResult want = reference.Form(task, &rng_a);
+            const Result<TeamResult> got = dist.Form(task, &rng_b);
+            ASSERT_TRUE(got.ok()) << got.status().ToString();
+            const std::string what =
+                std::string(CompatKindName(kind)) + "/" +
+                SkillPolicyName(sp) + "/" + UserPolicyName(up) + "/S=" +
+                std::to_string(shards);
+            ExpectSameResult(*got, want, what);
+            EXPECT_EQ(ResultDigest(*got), ResultDigest(want)) << what;
+            // Identical rng stream consumption, not just identical teams.
+            EXPECT_EQ(rng_a.Next(), rng_b.Next()) << what;
           }
         }
       }
@@ -438,7 +403,7 @@ TEST(DistIdentityTest, BitIdenticalForEveryCompatKind) {
     DistributedFormer dist(
         inst.graph, inst.skills, &index,
         PolicyParams(SkillPolicy::kLeastCompatible, UserPolicy::kMinDistance),
-        Options(3, ShardStrategy::kHash, kind, oracle_params));
+        Options(3, kind, oracle_params));
     Rng task_rng(19);
     for (int trial = 0; trial < 3; ++trial) {
       Task task = RandomTask(inst.skills, 4, &task_rng);
@@ -461,7 +426,6 @@ TEST(DistIdentityTest, ThresholdOracleFactorySupported) {
   GreedyTeamFormer reference(oracle.get(), inst.skills, &index, params);
   DistOptions options;
   options.num_shards = 3;
-  options.strategy = ShardStrategy::kRange;
   options.oracle_factory = [](const SignedGraph& g) {
     return MakeThresholdOracle(g, 0.75);
   };
@@ -490,7 +454,7 @@ TEST(DistIdentityTest, SeedCapCostKindsAndPoolThinning) {
     params.most_compatible_pool_cap = 5;  // forces the thinning branch
     GreedyTeamFormer reference(oracle.get(), inst.skills, &index, params);
     DistributedFormer dist(inst.graph, inst.skills, &index, params,
-                           Options(3, ShardStrategy::kHash, CompatKind::kSPM));
+                           Options(3, CompatKind::kSPM));
     Rng task_rng(23);
     for (int trial = 0; trial < 4; ++trial) {
       Task task = RandomTask(inst.skills, 5, &task_rng);
@@ -544,24 +508,21 @@ TEST(DistIdentityTest, BitIdenticalAcrossSeedWaves) {
         const uint64_t want_next = rng_a.Next();
         ASSERT_EQ(want.seeds_tried, max_seeds == 0 ? rarest : max_seeds);
         for (uint32_t shards : {1u, 3u}) {
-          for (ShardStrategy strategy :
-               {ShardStrategy::kHash, ShardStrategy::kRange}) {
-            const std::string what =
-                std::string(CompatKindName(kind)) + "/" + UserPolicyName(up) +
-                "/max_seeds=" + std::to_string(max_seeds) + "/S=" +
-                std::to_string(shards) + "/" + ShardStrategyName(strategy);
-            DistributedFormer dist(graph, *skills, nullptr, params,
-                                   Options(shards, strategy, kind));
-            Rng rng_b(7000 + max_seeds);
-            FormCommStats comm;
-            const Result<TeamResult> got = dist.Form(task, &rng_b, &comm);
-            ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
-            ExpectSameResult(*got, want, what);
-            EXPECT_EQ(ResultDigest(*got), ResultDigest(want)) << what;
-            EXPECT_EQ(rng_b.Next(), want_next) << what;
-            // A round carries the steps of a whole wave's live seeds.
-            EXPECT_LT(comm.rounds, comm.steps) << what;
-          }
+          const std::string what =
+              std::string(CompatKindName(kind)) + "/" + UserPolicyName(up) +
+              "/max_seeds=" + std::to_string(max_seeds) + "/S=" +
+              std::to_string(shards);
+          DistributedFormer dist(graph, *skills, nullptr, params,
+                                 Options(shards, kind));
+          Rng rng_b(7000 + max_seeds);
+          FormCommStats comm;
+          const Result<TeamResult> got = dist.Form(task, &rng_b, &comm);
+          ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+          ExpectSameResult(*got, want, what);
+          EXPECT_EQ(ResultDigest(*got), ResultDigest(want)) << what;
+          EXPECT_EQ(rng_b.Next(), want_next) << what;
+          // A round carries the steps of a whole wave's live seeds.
+          EXPECT_LT(comm.rounds, comm.steps) << what;
         }
       }
     }
@@ -569,8 +530,8 @@ TEST(DistIdentityTest, BitIdenticalAcrossSeedWaves) {
 }
 
 TEST(DistIdentityTest, RaggedAndEmptyShardsStayIdentical) {
-  // More shards than nodes: most workers own nothing (range) or a couple
-  // of interleaved ids (hash); the merge must not care.
+  // More shards than nodes: most workers own a couple of interleaved ids
+  // or nothing at all; the merge must not care.
   Instance inst = MakeInstance(10, 24, 0.2, 4, 77);
   auto oracle = MakeOracle(inst.graph, CompatKind::kNNE);
   Rng index_rng(6);
@@ -579,19 +540,16 @@ TEST(DistIdentityTest, RaggedAndEmptyShardsStayIdentical) {
       PolicyParams(SkillPolicy::kRarest, UserPolicy::kMinDistance);
   GreedyTeamFormer reference(oracle.get(), inst.skills, &index, params);
   for (uint32_t shards : {8u, 16u}) {
-    for (ShardStrategy strategy :
-         {ShardStrategy::kHash, ShardStrategy::kRange}) {
-      DistributedFormer dist(inst.graph, inst.skills, &index, params,
-                             Options(shards, strategy, CompatKind::kNNE));
-      Rng task_rng(13);
-      for (int trial = 0; trial < 3; ++trial) {
-        Task task = RandomTask(inst.skills, 3, &task_rng);
-        Rng rng_a(5000 + trial), rng_b(5000 + trial);
-        const Result<TeamResult> got = dist.Form(task, &rng_b);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        ExpectSameResult(*got, reference.Form(task, &rng_a),
-                         "S=" + std::to_string(shards));
-      }
+    DistributedFormer dist(inst.graph, inst.skills, &index, params,
+                           Options(shards, CompatKind::kNNE));
+    Rng task_rng(13);
+    for (int trial = 0; trial < 3; ++trial) {
+      Task task = RandomTask(inst.skills, 3, &task_rng);
+      Rng rng_a(5000 + trial), rng_b(5000 + trial);
+      const Result<TeamResult> got = dist.Form(task, &rng_b);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectSameResult(*got, reference.Form(task, &rng_a),
+                       "S=" + std::to_string(shards));
     }
   }
 }
@@ -601,7 +559,7 @@ TEST(DistIdentityTest, EmptyTaskReturnsEmptyFoundTeam) {
   GreedyParams params =
       PolicyParams(SkillPolicy::kRarest, UserPolicy::kMinDistance);
   DistributedFormer dist(inst.graph, inst.skills, nullptr, params,
-                         Options(2, ShardStrategy::kHash, CompatKind::kSPM));
+                         Options(2, CompatKind::kSPM));
   Rng rng(1);
   FormCommStats comm;
   const Result<TeamResult> got = dist.Form(Task(std::vector<SkillId>{}),
@@ -625,7 +583,7 @@ TEST(DistCommTest, RepeatedRunsAreDeterministicIncludingTraffic) {
   GreedyParams params =
       PolicyParams(SkillPolicy::kLeastCompatible, UserPolicy::kRandom);
   DistributedFormer dist(inst.graph, inst.skills, &index, params,
-                         Options(3, ShardStrategy::kHash, CompatKind::kSPM));
+                         Options(3, CompatKind::kSPM));
   Rng task_rng(11);
   Task task = RandomTask(inst.skills, 4, &task_rng);
 
@@ -663,50 +621,46 @@ TEST(DistCommTest, RepeatedRunsAreDeterministicIncludingTraffic) {
 
 TEST(DistCommTest, PerStepControlTrafficIndependentOfUniverseSize) {
   // Quadrupling the graph must not move per-step control bytes more than
-  // noise, for both plans at every shard count (the data plane — row
-  // slices — is allowed to grow).
+  // noise, at every shard count (the data plane — row slices — is allowed
+  // to grow).
   GreedyParams params =
       PolicyParams(SkillPolicy::kRarest, UserPolicy::kMinDistance);
-  for (const ShardStrategy strategy :
-       {ShardStrategy::kHash, ShardStrategy::kRange}) {
-    for (const uint32_t shards : {1u, 2u, 4u}) {
-      SCOPED_TRACE(std::string(ShardStrategyName(strategy)) + " S=" +
-                   std::to_string(shards));
-      double per_step_small = 0, per_step_large = 0;
-      uint64_t data_small = 0, data_large = 0;
-      for (const uint32_t n : {200u, 800u}) {
-        Instance inst = MakeInstance(n, n * 3, 0.2, 10, 161);
-        DistributedFormer dist(inst.graph, inst.skills, nullptr, params,
-                               Options(shards, strategy, CompatKind::kSPM));
-        Rng task_rng(29);
-        uint64_t steps = 0, control = 0, data = 0;
-        for (int trial = 0; trial < 4; ++trial) {
-          Task task = RandomTask(inst.skills, 4, &task_rng);
-          Rng rng(6000 + trial);
-          FormCommStats comm;
-          const Result<TeamResult> got = dist.Form(task, &rng, &comm);
-          ASSERT_TRUE(got.ok()) << got.status().ToString();
-          steps += comm.steps;
-          control += comm.comm.control_bytes;
-          data += comm.comm.data_bytes;
-        }
-        ASSERT_GT(steps, 0u);
-        if (n == 200) {
-          per_step_small = double(control) / double(steps);
-          data_small = data;
-        } else {
-          per_step_large = double(control) / double(steps);
-          data_large = data;
-        }
+  for (const uint32_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE("S=" + std::to_string(shards));
+    double per_step_small = 0, per_step_large = 0;
+    uint64_t data_small = 0, data_large = 0;
+    for (const uint32_t n : {200u, 800u}) {
+      Instance inst = MakeInstance(n, n * 3, 0.2, 10, 161);
+      DistributedFormer dist(inst.graph, inst.skills, nullptr, params,
+                             Options(shards, CompatKind::kSPM));
+      Rng task_rng(29);
+      uint64_t steps = 0, control = 0, data = 0;
+      for (int trial = 0; trial < 4; ++trial) {
+        Task task = RandomTask(inst.skills, 4, &task_rng);
+        Rng rng(6000 + trial);
+        FormCommStats comm;
+        const Result<TeamResult> got = dist.Form(task, &rng, &comm);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        steps += comm.steps;
+        control += comm.comm.control_bytes;
+        data += comm.comm.data_bytes;
       }
-      EXPECT_LT(per_step_large, per_step_small * 1.5)
-          << "coordinator traffic grew with n: " << per_step_small << " -> "
-          << per_step_large << " bytes/step";
-      // Sanity that the measurement isn't vacuous: the data plane does
-      // grow. A single shard has no peers, so no data plane at all.
-      if (shards > 1) {
-        EXPECT_GT(data_large, data_small);
+      ASSERT_GT(steps, 0u);
+      if (n == 200) {
+        per_step_small = double(control) / double(steps);
+        data_small = data;
+      } else {
+        per_step_large = double(control) / double(steps);
+        data_large = data;
       }
+    }
+    EXPECT_LT(per_step_large, per_step_small * 1.5)
+        << "coordinator traffic grew with n: " << per_step_small << " -> "
+        << per_step_large << " bytes/step";
+    // Sanity that the measurement isn't vacuous: the data plane does
+    // grow. A single shard has no peers, so no data plane at all.
+    if (shards > 1) {
+      EXPECT_GT(data_large, data_small);
     }
   }
 }
@@ -783,7 +737,7 @@ TEST(TransportHammerTest, RecvTimesOutAndCloseDrainsBeforeUnavailable) {
 TEST(ShardWorkerTest, StepSkillOutsideTheTaskGetsTypedErrorReply) {
   Instance inst = MakeInstance(40, 100, 0.2, 8, 181);
   ASSERT_FALSE(inst.skills.Holders(0).empty());
-  ShardPlan plan(ShardStrategy::kHash, inst.graph.num_nodes(), 1);
+  ShardPlan plan(inst.graph.num_nodes(), 1);
   InProcessTransport transport(1);
   ShardWorker worker(
       0, inst.graph, inst.skills, plan, &transport,
@@ -890,7 +844,7 @@ TEST(ShardWorkerTest, CostReplyNamesEveryOwnedRowInTeamOrder) {
   // member id sent with it, so the reply must list, team after team, each
   // member the worker owns, in team order, with its distances to the team.
   Instance inst = MakeInstance(40, 100, 0.2, 8, 181);
-  ShardPlan plan(ShardStrategy::kHash, inst.graph.num_nodes(), 2);
+  ShardPlan plan(inst.graph.num_nodes(), 2);
   InProcessTransport transport(2);
   ShardWorker worker(
       0, inst.graph, inst.skills, plan, &transport,
@@ -989,7 +943,7 @@ TEST_F(DistFaultTest, EveryFaultDegradesToTypedErrorOrIdenticalTeam) {
 
     // A fresh engine per row: a faulted run must not poison later runs of
     // the same engine either, which the disarmed re-run below checks.
-    DistOptions options = Options(3, ShardStrategy::kHash, CompatKind::kSPM);
+    DistOptions options = Options(3, CompatKind::kSPM);
     options.recv_timeout_ms = 250;  // keep injected timeouts fast
     DistributedFormer dist(inst.graph, inst.skills, &index, params, options);
     {

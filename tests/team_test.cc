@@ -1,5 +1,6 @@
-// Tests for Algorithm 2 (greedy team formation), the exact solver, the
-// unsigned RarestFirst baseline, and the cost/validity helpers.
+// Tests for Algorithm 2 (greedy team formation) and its shared seed
+// completion loop, the exact solver, the unsigned RarestFirst baseline,
+// and the cost/validity helpers.
 
 #include "src/team/greedy.h"
 
@@ -13,6 +14,7 @@
 #include "src/skills/skill_generator.h"
 #include "src/team/cost.h"
 #include "src/team/exact.h"
+#include "src/team/greedy_step.h"
 #include "src/team/unsigned_tf.h"
 #include "src/util/rng.h"
 
@@ -328,6 +330,151 @@ TEST(PolicyNamesTest, Stable) {
   EXPECT_STREQ(UserPolicyName(UserPolicy::kMinDistance), "MinDistance");
   EXPECT_STREQ(UserPolicyName(UserPolicy::kMostCompatible), "MostCompatible");
   EXPECT_STREQ(UserPolicyName(UserPolicy::kRandom), "Random");
+}
+
+// ---------------------------------------------------------------------------
+// CompleteSeeds: the one completion loop, driven by a scripted selector
+// ---------------------------------------------------------------------------
+
+// Eight users over four skills, with distinct holder counts so that the
+// kRarest order is 3 (2 holders) < 2 (3) < 0 (4) < 1 (5). User 6 holds
+// every skill.
+SkillAssignment LoopSkills() {
+  return std::move(SkillAssignment::Create({{0},
+                                            {0, 1},
+                                            {0},
+                                            {1},
+                                            {1, 2},
+                                            {2, 3},
+                                            {0, 1, 2, 3},
+                                            {1}},
+                                           4))
+      .ValueOrDie();
+}
+
+// What the selector was shown for one live seed.
+struct SeenStep {
+  uint32_t slot;
+  std::vector<uint32_t> team;
+  SkillId skill;
+  std::vector<SkillId> rest;
+};
+
+// Runs CompleteSeeds under kRarest over global ids, with a selector that
+// records every round's steps and answers from `script` (one pick per live
+// seed per round, in order).
+Status RunScript(const SkillAssignment& skills, const Task& task,
+                 const std::vector<uint32_t>& seeds,
+                 const std::vector<std::vector<uint32_t>>& script,
+                 std::vector<std::vector<SeenStep>>* rounds,
+                 std::vector<std::vector<uint32_t>>* teams) {
+  teams->assign(seeds.size(), {});
+  return CompleteSeeds(
+      skills, nullptr, SkillPolicy::kRarest, task, seeds,
+      [](uint32_t v) { return v; },
+      [&](std::span<const SeedStep> live, std::span<uint32_t> picks) {
+        std::vector<SeenStep>& seen = rounds->emplace_back();
+        for (const SeedStep& s : live) {
+          seen.push_back({s.slot, {s.team.begin(), s.team.end()}, s.skill,
+                          {s.rest.begin(), s.rest.end()}});
+        }
+        const size_t round = rounds->size() - 1;
+        if (round >= script.size() || script[round].size() != live.size()) {
+          return Status::Internal("script has no answer for this round");
+        }
+        for (size_t j = 0; j < live.size(); ++j) {
+          EXPECT_EQ(picks[j], kInvalidNode) << "picks arrive unset";
+          picks[j] = script[round][j];
+        }
+        return Status::OK();
+      },
+      std::span(*teams));
+}
+
+TEST(CompleteSeedsTest, CoveringSeedCompletesWithoutCallingTheSelector) {
+  const SkillAssignment skills = LoopSkills();
+  std::vector<std::vector<SeenStep>> rounds;
+  std::vector<std::vector<uint32_t>> teams;
+  const Status st =
+      RunScript(skills, Task({0, 1, 2, 3}), {6}, {}, &rounds, &teams);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_TRUE(rounds.empty());
+  EXPECT_EQ(teams, (std::vector<std::vector<uint32_t>>{{6}}));
+}
+
+TEST(CompleteSeedsTest, SelectorSeesLiveSeedsInSeedOrderWithSkillAndRest) {
+  const SkillAssignment skills = LoopSkills();
+  // Round 0: seeds 0, 1 and 3 are live (seed 6 covers the task). Round 1:
+  // seed 1 has dead-ended, the others each add user 5 first.
+  std::vector<std::vector<SeenStep>> rounds;
+  std::vector<std::vector<uint32_t>> teams;
+  const Status st = RunScript(skills, Task({0, 1, 2, 3}), {0, 1, 6, 3},
+                              {{5, kInvalidNode, 5}, {7, 2}}, &rounds, &teams);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ASSERT_EQ(rounds.size(), 2u);
+
+  // Each step's skill is SelectSkillByPolicy's choice over the seed's
+  // uncovered skills, and its rest is the uncovered skills without it.
+  const auto expect_step = [&](const SeenStep& seen, uint32_t slot,
+                               const std::vector<uint32_t>& team,
+                               const std::vector<SkillId>& uncovered) {
+    SCOPED_TRACE("slot " + std::to_string(slot));
+    EXPECT_EQ(seen.slot, slot);
+    EXPECT_EQ(seen.team, team);
+    const SkillId skill =
+        SelectSkillByPolicy(SkillPolicy::kRarest, skills, nullptr, uncovered);
+    EXPECT_EQ(seen.skill, skill);
+    std::vector<SkillId> rest;
+    for (SkillId t : uncovered) {
+      if (t != skill) rest.push_back(t);
+    }
+    EXPECT_EQ(seen.rest, rest);
+  };
+  ASSERT_EQ(rounds[0].size(), 3u);
+  expect_step(rounds[0][0], 0, {0}, {1, 2, 3});
+  expect_step(rounds[0][1], 1, {1}, {2, 3});
+  expect_step(rounds[0][2], 3, {3}, {0, 2, 3});
+  ASSERT_EQ(rounds[1].size(), 2u);
+  expect_step(rounds[1][0], 0, {0, 5}, {1});
+  expect_step(rounds[1][1], 3, {3, 5}, {0});
+  // The rarest of the uncovered skills, by hand.
+  EXPECT_EQ(rounds[0][0].skill, 3u);
+  EXPECT_EQ(rounds[0][0].rest, (std::vector<SkillId>{1, 2}));
+}
+
+TEST(CompleteSeedsTest, DeadEndDropsOnlyThatSeed) {
+  const SkillAssignment skills = LoopSkills();
+  std::vector<std::vector<SeenStep>> rounds;
+  std::vector<std::vector<uint32_t>> teams;
+  const Status st = RunScript(skills, Task({0, 1, 2, 3}), {0, 1, 6, 3},
+                              {{5, kInvalidNode, 5}, {7, 2}}, &rounds, &teams);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  // Slot 1 dead-ended in round 0: its slot is empty and round 1 no longer
+  // shows it. The others complete, members ascending, in their own slots.
+  EXPECT_EQ(teams, (std::vector<std::vector<uint32_t>>{
+                       {0, 5, 7}, {}, {6}, {2, 3, 5}}));
+  ASSERT_EQ(rounds.size(), 2u);
+  for (const SeenStep& seen : rounds[1]) EXPECT_NE(seen.slot, 1u);
+}
+
+TEST(CompleteSeedsTest, SelectorErrorComesBackUnchanged) {
+  const SkillAssignment skills = LoopSkills();
+  std::vector<std::vector<uint32_t>> teams(2);
+  uint32_t calls = 0;
+  const Status st = CompleteSeeds(
+      skills, nullptr, SkillPolicy::kRarest, Task({0, 1, 2, 3}),
+      std::vector<uint32_t>{0, 3}, [](uint32_t v) { return v; },
+      [&](std::span<const SeedStep> live, std::span<uint32_t> picks) {
+        if (++calls == 2) {
+          return Status::DeadlineExceeded("shard 2 never answered");
+        }
+        for (size_t j = 0; j < live.size(); ++j) picks[j] = 5;
+        return Status::OK();
+      },
+      std::span(teams));
+  EXPECT_EQ(calls, 2u);
+  EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(st.message(), "shard 2 never answered");
 }
 
 }  // namespace
